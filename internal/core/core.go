@@ -21,6 +21,7 @@ import (
 	"mrpc/internal/event"
 	"mrpc/internal/member"
 	"mrpc/internal/msg"
+	"mrpc/internal/pool"
 	"mrpc/internal/proc"
 	"mrpc/internal/sem"
 	"mrpc/internal/trace"
@@ -171,12 +172,12 @@ type NetEvent struct {
 // would mutate a frozen message.
 
 var (
-	clientRecPool = newPool(func() any { return new(ClientRecord) })
-	serverRecPool = newPool(func() any { return new(ServerRecord) })
-	netEventPool  = newPool(func() any { return new(NetEvent) })
-	userMsgPool   = newPool(func() any { return new(msg.UserMsg) })
-	callKeyPool   = newPool(func() any { return new(msg.CallKey) })
-	callIDPool    = newPool(func() any { return new(msg.CallID) })
+	clientRecPool = pool.New(func() any { return new(ClientRecord) })
+	serverRecPool = pool.New(func() any { return new(ServerRecord) })
+	netEventPool  = pool.New(func() any { return new(NetEvent) })
+	userMsgPool   = pool.New(func() any { return new(msg.UserMsg) })
+	callKeyPool   = pool.New(func() any { return new(msg.CallKey) })
+	callIDPool    = pool.New(func() any { return new(msg.CallID) })
 )
 
 // releaseClientRec scrubs and recycles a collected call record. The

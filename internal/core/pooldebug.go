@@ -2,21 +2,14 @@
 
 package core
 
-// Debug builds replace the raw sync.Pools with a checking wrapper: Put
-// scribbles a sentinel into a field the release path has scrubbed and
-// records the object as pooled; Get panics when the sentinel was disturbed
-// (a use-after-Put wrote to the object while it sat in the pool) or when
-// the pool hands an object out twice without an intervening Put (a
-// double-Put gave two goroutines the same envelope). Objects born fresh
-// from New carry the zero value and pass unexamined. Enable with:
+// Debug-build poison and check functions for core's pooled types; the
+// checking pool itself is internal/pool's. Enable with:
 //
-//	go test -tags mrpcdebug ./internal/core ./internal/event
+//	go test -tags mrpcdebug ./internal/pool ./internal/core ./internal/event
 
 import (
-	"fmt"
-	"sync"
-
 	"mrpc/internal/msg"
+	"mrpc/internal/pool"
 )
 
 const (
@@ -28,39 +21,7 @@ const (
 // poisonedNetMsg is the sentinel a pooled NetEvent's Msg field points at.
 var poisonedNetMsg = new(msg.NetMsg)
 
-type debugPool struct {
-	p      sync.Pool
-	mu     sync.Mutex
-	pooled map[any]bool // true = currently in the pool
-}
-
-func newPool(f func() any) *debugPool {
-	return &debugPool{p: sync.Pool{New: f}, pooled: make(map[any]bool)}
-}
-
-func (d *debugPool) Get() any {
-	x := d.p.Get()
-	d.mu.Lock()
-	if in, seen := d.pooled[x]; seen && !in {
-		d.mu.Unlock()
-		panic(fmt.Sprintf("mrpcdebug: pool handed out a checked-out %T (double-Put upstream)", x))
-	}
-	d.pooled[x] = false
-	d.mu.Unlock()
-	checkPoison(x)
-	return x
-}
-
-func (d *debugPool) Put(x any) {
-	d.mu.Lock()
-	if d.pooled[x] {
-		d.mu.Unlock()
-		panic(fmt.Sprintf("mrpcdebug: double-Put of %T", x))
-	}
-	d.pooled[x] = true
-	d.mu.Unlock()
-	poison(x)
-}
+func init() { pool.Register(poison, checkPoison) }
 
 // poison scribbles the sentinel into one field per pooled type — a field
 // the release path scrubs to zero, never one it deliberately retains
@@ -84,69 +45,24 @@ func poison(x any) {
 	}
 }
 
-// checkPoison verifies the sentinel survived the object's stay in the pool
-// and restores the zero value. Zero means fresh-from-New; anything else is
-// a write that happened after Put.
-func checkPoison(x any) {
-	dirty := func() {
-		panic(fmt.Sprintf("mrpcdebug: dirty Get of %T: object was written while pooled (use-after-Put)", x))
-	}
+// checkPoison reports whether the sentinel survived the object's stay in
+// the pool (or the object is fresh from New) and restores the zero value.
+func checkPoison(x any) bool {
 	switch v := x.(type) {
 	case *ClientRecord:
-		switch v.NRes {
-		case poisonInt:
-			v.NRes = 0
-		case 0:
-		default:
-			dirty()
-		}
+		return pool.Restore(&v.NRes, poisonInt)
 	case *ServerRecord:
-		switch v.Client {
-		case msg.ProcID(poisonInt):
-			v.Client = 0
-		case 0:
-		default:
-			dirty()
-		}
+		return pool.Restore(&v.Client, msg.ProcID(poisonInt))
 	case *NetEvent:
-		switch v.Msg {
-		case poisonedNetMsg:
-			v.Msg = nil
-		case nil:
-		default:
-			dirty()
-		}
+		return pool.Restore(&v.Msg, poisonedNetMsg)
 	case *msg.UserMsg:
-		switch v.Type {
-		case poisonOp:
-			v.Type = 0
-		case 0:
-		default:
-			dirty()
-		}
+		return pool.Restore(&v.Type, poisonOp)
 	case *msg.CallKey:
-		switch v.ID {
-		case poisonInt64:
-			v.ID = 0
-		case 0:
-		default:
-			dirty()
-		}
+		return pool.Restore(&v.ID, poisonInt64)
 	case *msg.CallID:
-		switch *v {
-		case poisonInt64:
-			*v = 0
-		case 0:
-		default:
-			dirty()
-		}
+		return pool.Restore(v, poisonInt64)
 	case *relEntry:
-		switch v.id {
-		case poisonInt64:
-			v.id = 0
-		case 0:
-		default:
-			dirty()
-		}
+		return pool.Restore(&v.id, poisonInt64)
 	}
+	return true
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mrpc/internal/msg"
+	"mrpc/internal/pool"
 )
 
 func mustPanic(t *testing.T, want string, f func()) {
@@ -18,23 +19,16 @@ func mustPanic(t *testing.T, want string, f func()) {
 	f()
 }
 
-func TestPoolDebugDoublePut(t *testing.T) {
-	p := newPool(func() any { return new(NetEvent) })
-	ev := p.Get().(*NetEvent)
-	p.Put(ev)
-	mustPanic(t, "double-Put", func() { p.Put(ev) })
-}
-
 func TestPoolDebugDirtyGet(t *testing.T) {
-	p := newPool(func() any { return new(NetEvent) })
+	p := pool.New(func() any { return new(NetEvent) })
 	ev := p.Get().(*NetEvent)
 	p.Put(ev)
 	ev.Msg = new(msg.NetMsg) // use-after-Put scribbles over the sentinel
-	mustPanic(t, "dirty Get", func() { checkPoison(ev) })
+	mustPanic(t, "dirty Get", func() { pool.Check(ev) })
 }
 
 func TestPoolDebugCleanCycle(t *testing.T) {
-	p := newPool(func() any { return new(ClientRecord) })
+	p := pool.New(func() any { return new(ClientRecord) })
 	rec := p.Get().(*ClientRecord)
 	if rec.NRes != 0 {
 		t.Fatalf("fresh record not zeroed: NRes=%d", rec.NRes)
@@ -58,6 +52,8 @@ func TestPoolDebugPoisonAllShapes(t *testing.T) {
 		new(msg.UserMsg), new(msg.CallKey), new(msg.CallID), new(relEntry),
 	} {
 		poison(x)
-		checkPoison(x)
+		if !checkPoison(x) {
+			t.Fatalf("%T: poisoned object reported dirty", x)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"mrpc/internal/event"
 	"mrpc/internal/msg"
+	"mrpc/internal/pool"
 )
 
 // ReliableCommunication implements reliable communication (§4.4.3) by
@@ -68,7 +69,7 @@ type relEntry struct {
 // relEntryPool recycles transmission-state entries. group is dropped (not
 // reused) on release: it aliases the call record's Server slice, which may
 // still back frozen wire messages.
-var relEntryPool = newPool(func() any { return new(relEntry) })
+var relEntryPool = pool.New(func() any { return new(relEntry) })
 
 func getRelEntry() *relEntry { return relEntryPool.Get().(*relEntry) }
 

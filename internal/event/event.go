@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"mrpc/internal/clock"
+	"mrpc/internal/pool"
 )
 
 // Type identifies an event. The set mirrors §4.3 of the paper.
@@ -73,7 +74,7 @@ type Occurrence struct {
 // dispatch is the hottest path in the composite, and an occurrence never
 // outlives its Trigger call — handlers receive it synchronously and the
 // compensation closures run before Trigger returns.
-var occPool = newPool(func() any { return new(Occurrence) })
+var occPool = pool.New(func() any { return new(Occurrence) })
 
 func getOcc(t Type, arg any) *Occurrence {
 	o := occPool.Get().(*Occurrence)

@@ -2,52 +2,16 @@
 
 package event
 
-// Debug-build pool checking for dispatch's occurrence pool; the same scheme
-// as internal/core's (see core/pooldebug.go): Put poisons the Arg field
-// putOcc has scrubbed, Get verifies the sentinel survived and catches
-// double-Puts through the checked-out ledger.
+// Debug-build poison and check functions for dispatch's occurrence pool;
+// the checking pool itself is internal/pool's. Put poisons the Arg field
+// putOcc has scrubbed, and Get verifies the sentinel survived.
 
-import (
-	"fmt"
-	"sync"
-)
+import "mrpc/internal/pool"
 
 // poisonedArg is the sentinel a pooled Occurrence's Arg field holds.
 var poisonedArg any = new(struct{ _ [1]byte })
 
-type debugPool struct {
-	p      sync.Pool
-	mu     sync.Mutex
-	pooled map[any]bool // true = currently in the pool
-}
-
-func newPool(f func() any) *debugPool {
-	return &debugPool{p: sync.Pool{New: f}, pooled: make(map[any]bool)}
-}
-
-func (d *debugPool) Get() any {
-	x := d.p.Get()
-	d.mu.Lock()
-	if in, seen := d.pooled[x]; seen && !in {
-		d.mu.Unlock()
-		panic(fmt.Sprintf("mrpcdebug: pool handed out a checked-out %T (double-Put upstream)", x))
-	}
-	d.pooled[x] = false
-	d.mu.Unlock()
-	checkPoison(x)
-	return x
-}
-
-func (d *debugPool) Put(x any) {
-	d.mu.Lock()
-	if d.pooled[x] {
-		d.mu.Unlock()
-		panic(fmt.Sprintf("mrpcdebug: double-Put of %T", x))
-	}
-	d.pooled[x] = true
-	d.mu.Unlock()
-	poison(x)
-}
+func init() { pool.Register(poison, checkPoison) }
 
 func poison(x any) {
 	if o, ok := x.(*Occurrence); ok {
@@ -55,14 +19,9 @@ func poison(x any) {
 	}
 }
 
-func checkPoison(x any) {
+func checkPoison(x any) bool {
 	if o, ok := x.(*Occurrence); ok {
-		switch o.Arg {
-		case poisonedArg:
-			o.Arg = nil
-		case nil:
-		default:
-			panic(fmt.Sprintf("mrpcdebug: dirty Get of %T: object was written while pooled (use-after-Put)", x))
-		}
+		return pool.Restore(&o.Arg, poisonedArg)
 	}
+	return true
 }

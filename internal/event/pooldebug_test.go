@@ -2,10 +2,14 @@
 
 package event
 
-import "testing"
+import (
+	"testing"
+
+	"mrpc/internal/pool"
+)
 
 func TestOccPoolDebug(t *testing.T) {
-	p := newPool(func() any { return new(Occurrence) })
+	p := pool.New(func() any { return new(Occurrence) })
 	o := p.Get().(*Occurrence)
 	o.Arg = nil
 	p.Put(o)
@@ -19,16 +23,6 @@ func TestOccPoolDebug(t *testing.T) {
 				t.Fatal("expected dirty-Get panic")
 			}
 		}()
-		checkPoison(o)
+		pool.Check(o)
 	}()
-
-	q := newPool(func() any { return new(Occurrence) })
-	o2 := q.Get().(*Occurrence)
-	q.Put(o2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected double-Put panic")
-		}
-	}()
-	q.Put(o2)
 }

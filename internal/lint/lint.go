@@ -15,9 +15,9 @@
 //     Bus.RegisterTimeout must not call Bus.Trigger synchronously
 //     (re-entrant dispatch) and must not call lockAll/unlockAll — directly,
 //     or through a helper one call deep.
-//   - goroutine-discipline: bare go statements outside internal/proc and
-//     internal/netsim must go through proc.Go / proc.(*Threads).Go so crash
-//     injection can reap the goroutine.
+//   - goroutine-discipline: bare go statements outside internal/proc must
+//     go through proc.Go / proc.(*Threads).Go / proc.Pool so crash
+//     injection and shutdown can reap the goroutine.
 //   - priority-constants: priorities passed to Bus.Register must reference
 //     named constants, not magic ints.
 //   - msg-immutability: fields of a msg.NetMsg must not be written outside

@@ -5,12 +5,11 @@ import (
 )
 
 // goroutineAllowed are the packages that may use bare go statements:
-// internal/proc owns the Thread abstraction that makes goroutines reapable,
-// and internal/netsim's delivery goroutines are tracked by its own Quiesce
-// accounting. (Test files are never loaded.)
+// internal/proc owns the Thread abstraction that makes goroutines reapable
+// and the worker Pool both transports deliver through. (Test files are
+// never loaded.)
 var goroutineAllowed = map[string]bool{
-	"mrpc/internal/proc":   true,
-	"mrpc/internal/netsim": true,
+	"mrpc/internal/proc": true,
 }
 
 // checkGoroutineDiscipline flags bare go statements. Goroutines spawned via

@@ -1,5 +1,5 @@
 // Fixture for the goroutine-discipline rule: bare go statements are banned
-// outside internal/proc and internal/netsim.
+// outside internal/proc.
 package goroutine
 
 func spawn(work func()) {

@@ -14,9 +14,11 @@
 // instead of deep-cloned per member, fault rolls come from deterministic
 // per-directed-link generators derived from Params.Seed, and with
 // EncodeOnWire set the message is encoded once per send with each delivery
-// decoding from the shared immutable wire bytes. Deliveries run on pooled
-// per-endpoint workers; an arrival never waits behind another arrival's
-// blocked handler.
+// decoding from the shared immutable wire bytes on the delivering worker.
+// Everything past admission and scheduling — handler and up state, the
+// worker pool, in-flight accounting — is the endpoint core shared with
+// nettcp (transport.Core): an arrival never waits behind another
+// arrival's blocked handler.
 //
 // Substitution note (DESIGN.md §2): the micro-protocols observe the network
 // only through push operations and message-arrival events, so an
@@ -135,47 +137,13 @@ type Network struct {
 	links       map[dirLink]*linkState // lazily created, only for links that roll
 	stopped     bool
 
-	// In-flight delivery accounting. A WaitGroup cannot express the
-	// Quiesce contract: retransmission timers call Add concurrently with
-	// Wait at a zero counter (disallowed), and counting only at schedule
+	// ledger holds the shared counters and the in-flight count. Each
+	// admitted destination is counted under mu — counting only at schedule
 	// time would let Quiesce return while an admitted message sits
-	// uncounted between releasing mu and scheduling. Instead each
-	// admitted destination is counted under mu, so a message is visible
-	// to a concurrent waiter before admission completes.
-	flightMu sync.Mutex
-	flightC  sync.Cond // signalled when inflight drops to zero
-	inflight int
+	// uncounted between releasing mu and scheduling.
+	ledger transport.Ledger
 
-	sent, delivered, dropped, duplicated, partition, downDrops, batches atomic.Int64
-	reordered, spikes, grayDelays, flapCycles                           atomic.Int64
-}
-
-// addFlight records k admitted deliveries. Send paths call it while
-// holding n.mu, which orders the count against Quiesce.
-func (n *Network) addFlight(k int) {
-	n.flightMu.Lock()
-	n.inflight += k
-	n.flightMu.Unlock()
-}
-
-// doneFlight retires one delivery (delivered, dropped by a fault roll, or
-// discarded at a retired endpoint).
-func (n *Network) doneFlight() {
-	n.flightMu.Lock()
-	n.inflight--
-	if n.inflight == 0 {
-		n.flightC.Broadcast()
-	}
-	n.flightMu.Unlock()
-}
-
-// waitFlight blocks until no admitted delivery remains in flight.
-func (n *Network) waitFlight() {
-	n.flightMu.Lock()
-	for n.inflight > 0 {
-		n.flightC.Wait()
-	}
-	n.flightMu.Unlock()
+	duplicated, partition, reordered, spikes, grayDelays, flapCycles atomic.Int64
 }
 
 // New creates a network with the given fault model, using clk for delays.
@@ -183,7 +151,7 @@ func New(clk clock.Clock, p Params) *Network {
 	if p.MaxDelay < p.MinDelay {
 		p.MaxDelay = p.MinDelay
 	}
-	n := &Network{
+	return &Network{
 		clk:         clk,
 		params:      p,
 		eps:         make(map[msg.ProcID]*Endpoint),
@@ -194,43 +162,14 @@ func New(clk clock.Clock, p Params) *Network {
 		gray:        make(map[msg.ProcID]time.Duration),
 		links:       make(map[dirLink]*linkState),
 	}
-	n.flightC.L = &n.flightMu
-	return n
 }
 
-// delivery is one scheduled arrival: the shared frozen message, or — with
-// EncodeOnWire — the shared wire bytes to decode at delivery time.
-type delivery struct {
-	m    *msg.NetMsg
-	wire []byte
-}
-
-// maxIdleWorkers bounds how many idle delivery workers an endpoint parks.
-// Two cover the common call/ack (or call/retransmission) bursts without
-// keeping a goroutine per historical peak alive.
-const maxIdleWorkers = 2
-
-// Endpoint is one process's attachment point; it provides the x-kernel-style
-// push operations used by the micro-protocols.
+// Endpoint is one process's attachment point: the shared endpoint core
+// (identity, handler, up state, delivery) plus the simulator's push
+// operations.
 type Endpoint struct {
+	transport.Core
 	net *Network
-	id  msg.ProcID
-
-	mu      sync.Mutex
-	handler Handler
-	up      bool
-
-	// Delivery worker pool. The mailbox is claim-based: dispatch enqueues
-	// only after reserving a parked worker (idle is decremented first), so
-	// queue length never exceeds the workers committed to draining it and
-	// a blocked handler can never delay an unrelated arrival — a message
-	// that finds no idle worker gets a fresh goroutine.
-	wmu    sync.Mutex
-	idle   int
-	closed bool
-	mail   chan delivery
-
-	egress, ingress atomic.Int64
 }
 
 // Attach connects process id to the network with h as its delivery handler.
@@ -241,47 +180,10 @@ func (n *Network) Attach(id msg.ProcID, h Handler) (transport.Endpoint, error) {
 	if _, ok := n.eps[id]; ok {
 		return nil, fmt.Errorf("netsim: process %d already attached", id)
 	}
-	e := &Endpoint{
-		net:     n,
-		id:      id,
-		handler: h,
-		up:      true,
-		mail:    make(chan delivery, maxIdleWorkers),
-	}
+	e := &Endpoint{net: n}
+	e.Init(&n.ledger, id, h)
 	n.eps[id] = e
 	return e, nil
-}
-
-// ID returns the endpoint's process id.
-func (e *Endpoint) ID() msg.ProcID { return e.id }
-
-// SetHandler replaces the delivery handler (used on process recovery, when
-// a fresh composite protocol instance takes over the endpoint).
-func (e *Endpoint) SetHandler(h Handler) {
-	e.mu.Lock()
-	e.handler = h
-	e.mu.Unlock()
-}
-
-// SetUp marks the endpoint up or down. A down endpoint neither sends nor
-// receives: messages in flight toward it are dropped at delivery time,
-// modelling a crashed site.
-func (e *Endpoint) SetUp(up bool) {
-	e.mu.Lock()
-	e.up = up
-	e.mu.Unlock()
-}
-
-// Stats returns a snapshot of the endpoint's traffic counters.
-func (e *Endpoint) Stats() EndpointStats {
-	return EndpointStats{Egress: e.egress.Load(), Ingress: e.ingress.Load()}
-}
-
-// Up reports whether the endpoint is up.
-func (e *Endpoint) Up() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.up
 }
 
 // Push sends m to a single destination (Net.push of the paper). The message
@@ -340,31 +242,21 @@ func (n *Network) SetLinkDelay(a, b msg.ProcID, min, max time.Duration) {
 
 // Stats returns a snapshot of the network counters.
 func (n *Network) Stats() Stats {
-	return Stats{
-		Sent:       n.sent.Load(),
-		Delivered:  n.delivered.Load(),
-		Dropped:    n.dropped.Load(),
-		Duplicated: n.duplicated.Load(),
-		Partition:  n.partition.Load(),
-		DownDrops:  n.downDrops.Load(),
-		Batches:    n.batches.Load(),
-		Reordered:  n.reordered.Load(),
-		Spikes:     n.spikes.Load(),
-		GrayDelays: n.grayDelays.Load(),
-		FlapCycles: n.flapCycles.Load(),
-	}
+	s := n.ledger.Stats()
+	s.Duplicated = n.duplicated.Load()
+	s.Partition = n.partition.Load()
+	s.Reordered = n.reordered.Load()
+	s.Spikes = n.spikes.Load()
+	s.GrayDelays = n.grayDelays.Load()
+	s.FlapCycles = n.flapCycles.Load()
+	return s
 }
 
 // Stop shuts the network down, waits for all in-flight deliveries to
-// finish, and retires the parked delivery workers. Further sends are
+// finish, and retires the endpoints' delivery workers. Further sends are
 // silently discarded.
 func (n *Network) Stop() {
 	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		n.waitFlight()
-		return
-	}
 	n.stopped = true
 	eps := make([]*Endpoint, 0, len(n.eps))
 	for _, e := range n.eps {
@@ -372,22 +264,15 @@ func (n *Network) Stop() {
 	}
 	n.mu.Unlock()
 
-	n.waitFlight() // all deliveries done: no dispatch can be in flight
+	n.ledger.Quiesce() // all deliveries done: no dispatch can be in flight
 	for _, e := range eps {
-		e.wmu.Lock()
-		if !e.closed {
-			e.closed = true
-			close(e.mail)
-		}
-		e.wmu.Unlock()
+		e.Retire()
 	}
 }
 
 // Quiesce waits for all deliveries currently in flight to complete without
 // stopping the network. Tests use it to reach a stable state.
-func (n *Network) Quiesce() {
-	n.waitFlight()
-}
+func (n *Network) Quiesce() { n.ledger.Quiesce() }
 
 // admitted is one destination that passed admission: its endpoint, the
 // delay bounds in force, the adversarial-profile knobs resolved for the
@@ -407,14 +292,13 @@ type admitted struct {
 // creation. It returns ok=false when the message will not travel (the
 // corresponding counter has then been bumped). Callers hold n.mu.
 func (n *Network) admitOne(from, to msg.ProcID) (admitted, bool) {
-	n.sent.Add(1)
 	if n.partitioned[linkKey(from, to)] || n.oneWay[dirLink{from: from, to: to}] {
 		n.partition.Add(1)
 		return admitted{}, false
 	}
 	dest, ok := n.eps[to]
 	if !ok {
-		n.downDrops.Add(1)
+		n.ledger.DownDrops.Add(1)
 		return admitted{}, false
 	}
 	d := n.delays[linkKey(from, to)]
@@ -443,57 +327,36 @@ func (n *Network) admitOne(from, to msg.ProcID) (admitted, bool) {
 	return a, true
 }
 
-// send is the single-destination path (Push).
+// send is the single-destination path (Push). It stays separate from
+// multicast so the zero-delay hot path, which runs on delivery workers'
+// fresh stacks, carries no group-sized admission plan.
 func (n *Network) send(from *Endpoint, to msg.ProcID, m *msg.NetMsg) {
-	from.mu.Lock()
-	senderUp := from.up
-	from.mu.Unlock()
-	if !senderUp {
-		return // a crashed site sends nothing
+	if !from.Prepare(m) {
+		return
 	}
-	m.Freeze()
-	if m.Type == msg.OpBatch {
-		n.batches.Add(1)
-	}
-
 	n.mu.Lock()
 	if n.stopped {
 		n.mu.Unlock()
 		return
 	}
-	if to != from.id {
-		from.egress.Add(1)
-	}
-	a, ok := n.admitOne(from.id, to)
+	from.Offer(to)
+	a, ok := n.admitOne(from.ID(), to)
 	if ok {
-		n.addFlight(1)
+		n.ledger.Admit(1)
 	}
 	n.mu.Unlock()
-	if !ok {
-		return
+	if ok {
+		n.transmit(a, transport.Encode(m, n.params.EncodeOnWire))
 	}
-	d := delivery{m: m}
-	if n.params.EncodeOnWire {
-		if w := m.Wire(); w != nil {
-			d = delivery{wire: w} // relayed frame: forward the shared bytes (D17)
-		} else {
-			d = delivery{wire: m.Encode()}
-		}
-	}
-	n.transmit(a, d)
 }
 
 // multicast admits the whole group under one critical section of n.mu,
 // encodes at most once, then rolls per-link faults and schedules
 // deliveries outside the lock.
 func (n *Network) multicast(from *Endpoint, group msg.Group, m *msg.NetMsg) {
-	from.mu.Lock()
-	senderUp := from.up
-	from.mu.Unlock()
-	if !senderUp {
+	if !from.Prepare(m) {
 		return
 	}
-	m.Freeze()
 
 	// The plan stays on the stack for realistic group sizes.
 	var planBuf [8]admitted
@@ -504,27 +367,18 @@ func (n *Network) multicast(from *Endpoint, group msg.Group, m *msg.NetMsg) {
 		return
 	}
 	for _, to := range group {
-		if to != from.id {
-			from.egress.Add(1)
-		}
-		if a, ok := n.admitOne(from.id, to); ok {
+		from.Offer(to)
+		if a, ok := n.admitOne(from.ID(), to); ok {
 			plan = append(plan, a)
 		}
 	}
-	n.addFlight(len(plan))
+	n.ledger.Admit(len(plan))
 	n.mu.Unlock()
 	if len(plan) == 0 {
 		return
 	}
 
-	d := delivery{m: m}
-	if n.params.EncodeOnWire {
-		if w := m.Wire(); w != nil {
-			d = delivery{wire: w} // relayed frame: forward the shared bytes (D17)
-		} else {
-			d = delivery{wire: m.Encode()} // encode once for the whole group
-		}
-	}
+	d := transport.Encode(m, n.params.EncodeOnWire) // once for the whole group
 	for _, a := range plan {
 		n.transmit(a, d)
 	}
@@ -535,7 +389,7 @@ func (n *Network) multicast(from *Endpoint, group msg.Group, m *msg.NetMsg) {
 // jitter, spike, storm — and lost messages consume only the loss roll, so
 // a link's pseudo-random sequence depends only on its own traffic order
 // (the determinism contract the conformance harness shrinks against).
-func (n *Network) transmit(a admitted, d delivery) {
+func (n *Network) transmit(a admitted, d transport.Frame) {
 	copies := 1
 	first, second := a.d.min, a.d.min
 	if a.ls != nil {
@@ -543,7 +397,6 @@ func (n *Network) transmit(a admitted, d delivery) {
 		rng := a.ls.rng
 		if n.params.LossProb > 0 && rng.Float64() < n.params.LossProb {
 			copies = 0
-			n.dropped.Add(1)
 		} else if n.params.DupProb > 0 && rng.Float64() < n.params.DupProb {
 			copies = 2
 			n.duplicated.Add(1)
@@ -585,7 +438,7 @@ func (n *Network) transmit(a admitted, d delivery) {
 	// retired here, a duplicate gains a count while the original's is
 	// still held (so the total never passes through zero mid-transmit).
 	if copies == 0 {
-		n.doneFlight()
+		n.ledger.Drop()
 		return
 	}
 	// Deterministic additions draw no randomness: serialization time under
@@ -601,7 +454,7 @@ func (n *Network) transmit(a admitted, d delivery) {
 		n.grayDelays.Add(1)
 	}
 	if copies == 2 {
-		n.addFlight(1)
+		n.ledger.Admit(1)
 	}
 	n.scheduleDelivery(a.dest, d, first)
 	if copies == 2 {
@@ -609,92 +462,14 @@ func (n *Network) transmit(a admitted, d delivery) {
 	}
 }
 
-func (n *Network) scheduleDelivery(dest *Endpoint, d delivery, delay time.Duration) {
+func (n *Network) scheduleDelivery(dest *Endpoint, d transport.Frame, delay time.Duration) {
 	if delay <= 0 {
-		dest.dispatch(d)
+		dest.Dispatch(d)
 		return
 	}
 	n.clk.AfterFunc(delay, func() {
 		// Handlers may block (serial execution, semaphores); never run them
 		// on the clock's timer goroutine.
-		dest.dispatch(d)
+		dest.Dispatch(d)
 	})
-}
-
-// dispatch hands d to a parked worker when one is free to claim it, and
-// spawns a fresh worker goroutine otherwise. The fresh worker parks after
-// its delivery if the idle quota allows, so a busy endpoint converges to a
-// small pool that spawns nothing in steady state — while a blocked handler
-// never delays the next arrival, which simply gets its own goroutine.
-func (e *Endpoint) dispatch(d delivery) {
-	e.wmu.Lock()
-	if e.closed {
-		// Stop already retired the pool (only reachable for sends racing
-		// Stop on an already-counted delivery): drop.
-		e.wmu.Unlock()
-		e.net.doneFlight()
-		return
-	}
-	if e.idle > 0 {
-		e.idle-- // reserve the worker: the mailbox send below cannot block
-		e.wmu.Unlock()
-		e.mail <- d
-		return
-	}
-	e.wmu.Unlock()
-	// A plain `go` over a method call avoids the closure + thread-handle
-	// allocations proc.Go would add — this is the hot path of every
-	// zero-delay configuration. netsim is exempt from the
-	// goroutine-discipline rule: the network quiesces its workers through
-	// its in-flight count, and endpoint crashes are observed at delivery
-	// via `up`.
-	go e.work(d)
-}
-
-// work delivers first, then joins the endpoint's worker pool: park (up to
-// the idle quota) and drain claimed deliveries until the pool is retired.
-func (e *Endpoint) work(first delivery) {
-	d := first
-	for {
-		e.net.deliverTo(e, d)
-		e.wmu.Lock()
-		if e.closed || e.idle >= maxIdleWorkers {
-			e.wmu.Unlock()
-			return
-		}
-		e.idle++
-		e.wmu.Unlock()
-		var ok bool
-		if d, ok = <-e.mail; !ok {
-			return
-		}
-	}
-}
-
-// deliverTo hands a delivery to dest's handler on the calling goroutine,
-// decoding from the shared wire bytes first when the codec is on.
-func (n *Network) deliverTo(dest *Endpoint, d delivery) {
-	defer n.doneFlight()
-	m := d.m
-	if d.wire != nil {
-		// Args are borrowed from the shared immutable buffer, not copied;
-		// the buffer is never recycled, so retained Args stay valid (D13).
-		decoded, err := msg.DecodeShared(d.wire)
-		if err != nil {
-			// A codec failure is a bug, not a simulated fault; surface
-			// it loudly rather than silently dropping.
-			panic(fmt.Sprintf("netsim: wire codec round-trip: %v", err))
-		}
-		m = decoded
-	}
-	dest.mu.Lock()
-	h, up := dest.handler, dest.up
-	dest.mu.Unlock()
-	if !up || h == nil {
-		n.downDrops.Add(1)
-		return
-	}
-	n.delivered.Add(1)
-	dest.ingress.Add(1)
-	h(m)
 }

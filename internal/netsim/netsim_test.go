@@ -61,15 +61,6 @@ func TestPerfectDelivery(t *testing.T) {
 	}
 }
 
-func TestDuplicateAttachRejected(t *testing.T) {
-	n := New(clock.NewReal(), Params{})
-	defer n.Stop()
-	attach(t, n, 1)
-	if _, err := n.Attach(1, nil); err == nil {
-		t.Fatal("second Attach of id 1 accepted")
-	}
-}
-
 // TestSendFreezesAndShares pins the D13 contract: the transport does not
 // clone per destination — every recipient shares the sender's (now frozen)
 // message, and a writable copy is obtained explicitly via Mutable.
@@ -228,46 +219,6 @@ func TestPartitionOneWay(t *testing.T) {
 	}
 }
 
-func TestDownEndpointNeitherSendsNorReceives(t *testing.T) {
-	n := New(clock.NewReal(), Params{})
-	defer n.Stop()
-	a, _ := attach(t, n, 1)
-	b, cb := attach(t, n, 2)
-
-	b.SetUp(false)
-	if b.Up() {
-		t.Fatal("Up() after SetUp(false)")
-	}
-	a.Push(2, call(1)) // toward down endpoint: dropped
-	b.Push(1, call(2)) // from down endpoint: dropped
-	n.Quiesce()
-	if cb.count() != 0 {
-		t.Fatal("down endpoint received")
-	}
-	st := n.Stats()
-	if st.DownDrops != 1 {
-		t.Fatalf("down drops = %d, want 1 (send from down endpoint is silent)", st.DownDrops)
-	}
-
-	b.SetUp(true)
-	a.Push(2, call(3))
-	n.Quiesce()
-	if cb.count() != 1 {
-		t.Fatal("recovered endpoint did not receive")
-	}
-}
-
-func TestUnknownDestinationDropped(t *testing.T) {
-	n := New(clock.NewReal(), Params{})
-	defer n.Stop()
-	a, _ := attach(t, n, 1)
-	a.Push(99, call(1))
-	n.Quiesce()
-	if st := n.Stats(); st.DownDrops != 1 {
-		t.Fatalf("stats = %+v, want one down-drop", st)
-	}
-}
-
 func TestDelaysAreApplied(t *testing.T) {
 	n := New(clock.NewReal(), Params{Seed: 1, MinDelay: 10 * time.Millisecond, MaxDelay: 15 * time.Millisecond})
 	defer n.Stop()
@@ -317,34 +268,6 @@ func TestEncodeOnWire(t *testing.T) {
 	got := cb.msgs[0]
 	if got.ID != 7 || string(got.Args) != "payload" || !got.Server.Equal(m.Server) {
 		t.Fatalf("wire round trip corrupted message: %+v", got)
-	}
-}
-
-func TestSendAfterStopDiscarded(t *testing.T) {
-	n := New(clock.NewReal(), Params{})
-	a, _ := attach(t, n, 1)
-	_, cb := attach(t, n, 2)
-	n.Stop()
-	a.Push(2, call(1))
-	if cb.count() != 0 {
-		t.Fatal("message delivered after Stop")
-	}
-}
-
-func TestSetHandlerReplaces(t *testing.T) {
-	n := New(clock.NewReal(), Params{})
-	defer n.Stop()
-	a, _ := attach(t, n, 1)
-	ep, old := attach(t, n, 2)
-	fresh := &collector{}
-	ep.SetHandler(fresh.handle)
-	a.Push(2, call(1))
-	n.Quiesce()
-	if old.count() != 0 || fresh.count() != 1 {
-		t.Fatalf("old=%d fresh=%d, want 0/1", old.count(), fresh.count())
-	}
-	if ep.ID() != 2 {
-		t.Fatalf("ID = %d", ep.ID())
 	}
 }
 

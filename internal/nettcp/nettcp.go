@@ -17,11 +17,13 @@
 // or an ephemeral loopback port when the map has none), so a single
 // Transport can host a whole group in-process over real loopback sockets —
 // the shape the cross-transport conformance tests use — or exactly one
-// endpoint per production process. Deliveries run on the same claim-based
-// worker pool as netsim: an arrival never waits behind another arrival's
-// blocked handler. All goroutines are spawned through internal/proc, and
-// time is only observed through the injected clock (which must advance in
-// real time — socket I/O does not simulate).
+// endpoint per production process. Handler and up state, in-flight
+// accounting and delivery are the endpoint core shared with netsim
+// (transport.Core): an arrival never waits behind another arrival's
+// blocked handler. nettcp adds only listeners, the handshake, framing,
+// peers and reconnects. All goroutines are spawned through internal/proc,
+// and time is only observed through the injected clock (which must advance
+// in real time — socket I/O does not simulate).
 package nettcp
 
 import (
@@ -103,16 +105,13 @@ type Transport struct {
 	addrs   map[msg.ProcID]string // peer map + auto-listen actual addresses
 	stopped bool
 
-	// In-flight accounting, mirroring netsim: each admitted delivery —
-	// a queued outbound frame, a decoded inbound frame, a self-delivery —
-	// is counted under mu (send side) or before dispatch (receive side)
-	// and retired when the frame leaves our hands: written to a socket,
-	// dropped, or handed to a handler that returned.
-	flightMu sync.Mutex
-	flightC  sync.Cond
-	inflight int
-
-	sent, delivered, dropped, downDrops, batches, reconnects atomic.Int64
+	// ledger holds the shared counters and the in-flight count. Each
+	// admitted delivery — a queued outbound frame, a decoded inbound
+	// frame, a self-delivery — is counted under mu (send side) or before
+	// dispatch (receive side) and retired when the frame leaves our hands:
+	// written to a socket, dropped, or handed to a handler that returned.
+	ledger     transport.Ledger
+	reconnects atomic.Int64
 }
 
 // New creates a TCP transport using clk for backoff and deadline timing.
@@ -129,37 +128,7 @@ func New(clk clock.Clock, o Options) *Transport {
 	for id, addr := range o.Peers {
 		t.addrs[id] = addr
 	}
-	t.flightC.L = &t.flightMu
 	return t
-}
-
-func (t *Transport) addFlight(k int) {
-	t.flightMu.Lock()
-	t.inflight += k
-	t.flightMu.Unlock()
-}
-
-func (t *Transport) doneFlight() {
-	t.flightMu.Lock()
-	t.inflight--
-	if t.inflight == 0 {
-		t.flightC.Broadcast()
-	}
-	t.flightMu.Unlock()
-}
-
-func (t *Transport) waitFlight() {
-	t.flightMu.Lock()
-	for t.inflight > 0 {
-		t.flightC.Wait()
-	}
-	t.flightMu.Unlock()
-}
-
-// dropFrame retires one admitted frame as lost.
-func (t *Transport) dropFrame() {
-	t.dropped.Add(1)
-	t.doneFlight()
 }
 
 // Addr returns the address process id listens on: the peer-map entry, or
@@ -171,24 +140,13 @@ func (t *Transport) Addr(id msg.ProcID) string {
 	return t.addrs[id]
 }
 
-// Endpoint is one process's attachment point on the TCP transport. It owns
-// a listener for inbound traffic and one lazily-created writer thread per
-// outbound peer.
+// Endpoint is one process's attachment point on the TCP transport: the
+// shared endpoint core plus a listener for inbound traffic and one
+// lazily-created writer thread per outbound peer. A down endpoint's
+// listener keeps accepting, so bringing it back up needs no reconnect.
 type Endpoint struct {
+	transport.Core
 	tr *Transport
-	id msg.ProcID
-
-	mu      sync.Mutex
-	handler transport.Handler
-	up      bool
-
-	// Delivery worker pool — the same claim-based discipline as netsim:
-	// dispatch enqueues only after reserving a parked worker, so a blocked
-	// handler never delays an unrelated arrival.
-	wmu    sync.Mutex
-	idle   int
-	closed bool
-	mail   chan *msg.NetMsg
 
 	// Outbound peer links, created on first send to each destination.
 	pmu      sync.Mutex
@@ -201,13 +159,7 @@ type Endpoint struct {
 
 	ln       net.Listener
 	acceptTh *proc.Thread
-
-	egress, ingress atomic.Int64
 }
-
-// maxIdleWorkers bounds how many idle delivery workers an endpoint parks
-// (same sizing rationale as netsim).
-const maxIdleWorkers = 2
 
 // Attach starts listening for process id and returns its endpoint. The
 // listen address comes from Options.Peers; absent an entry the endpoint
@@ -239,15 +191,12 @@ func (t *Transport) Attach(id msg.ProcID, h transport.Handler) (transport.Endpoi
 	}
 
 	e := &Endpoint{
-		tr:      t,
-		id:      id,
-		handler: h,
-		up:      true,
-		mail:    make(chan *msg.NetMsg, maxIdleWorkers),
-		peers:   make(map[msg.ProcID]*peer),
-		conns:   make(map[net.Conn]struct{}),
-		ln:      ln,
+		tr:    t,
+		peers: make(map[msg.ProcID]*peer),
+		conns: make(map[net.Conn]struct{}),
+		ln:    ln,
 	}
+	e.Init(&t.ledger, id, h)
 	t.mu.Lock()
 	if t.stopped {
 		t.mu.Unlock()
@@ -269,86 +218,23 @@ func (t *Transport) Attach(id msg.ProcID, h transport.Handler) (transport.Endpoi
 	return e, nil
 }
 
-// ID returns the endpoint's process id.
-func (e *Endpoint) ID() msg.ProcID { return e.id }
-
-// SetHandler replaces the delivery handler.
-func (e *Endpoint) SetHandler(h transport.Handler) {
-	e.mu.Lock()
-	e.handler = h
-	e.mu.Unlock()
-}
-
-// SetUp marks the endpoint up or down. A down endpoint neither sends nor
-// receives — sends are discarded at the source and inbound frames at
-// delivery time — but its listener keeps accepting, so bringing the
-// endpoint back up needs no reconnect.
-func (e *Endpoint) SetUp(up bool) {
-	e.mu.Lock()
-	e.up = up
-	e.mu.Unlock()
-}
-
-// Up reports whether the endpoint is up.
-func (e *Endpoint) Up() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.up
-}
-
-// Stats returns a snapshot of the endpoint's traffic counters.
-func (e *Endpoint) Stats() transport.EndpointStats {
-	return transport.EndpointStats{Egress: e.egress.Load(), Ingress: e.ingress.Load()}
-}
-
 // Push sends m to a single destination. The message is frozen and encoded
 // once; a relayed frame forwards its shared wire bytes (D17) without
 // re-encoding, exactly as the simulator does with EncodeOnWire.
 func (e *Endpoint) Push(to msg.ProcID, m *msg.NetMsg) {
-	e.mu.Lock()
-	up := e.up
-	e.mu.Unlock()
-	if !up {
-		return
-	}
-	m.Freeze()
-	wire := m.Wire()
-	if wire == nil {
-		wire = m.Encode()
-	}
-	t := e.tr
-	t.mu.Lock()
-	if t.stopped {
-		t.mu.Unlock()
-		return
-	}
-	t.sent.Add(1)
-	if m.Type == msg.OpBatch {
-		t.batches.Add(1)
-	}
-	self, known := e.admit(to)
-	t.mu.Unlock()
-	e.forward(to, wire, self, known)
+	e.Multicast(msg.Group{to}, m)
 }
 
 // Multicast sends m to every member of the group, including the sender's
 // own process when it is a member. The group is admitted under one
 // critical section and every destination shares the one wire encoding.
 func (e *Endpoint) Multicast(group msg.Group, m *msg.NetMsg) {
-	e.mu.Lock()
-	up := e.up
-	e.mu.Unlock()
-	if !up {
+	if !e.Prepare(m) {
 		return
-	}
-	m.Freeze()
-	wire := m.Wire()
-	if wire == nil {
-		wire = m.Encode()
 	}
 	var planBuf [8]msg.ProcID
 	remote := planBuf[:0]
-	selfDeliver := false
+	self := false
 	t := e.tr
 	t.mu.Lock()
 	if t.stopped {
@@ -356,63 +242,35 @@ func (e *Endpoint) Multicast(group msg.Group, m *msg.NetMsg) {
 		return
 	}
 	for _, to := range group {
-		t.sent.Add(1)
-		self, known := e.admit(to)
-		if self {
-			selfDeliver = true
-		} else if known {
+		e.Offer(to)
+		switch {
+		case to == e.ID():
+			self = true
+		case t.addrs[to] == "":
+			t.ledger.DownDrops.Add(1)
+		default:
 			remote = append(remote, to)
 		}
 	}
+	k := len(remote)
+	if self {
+		k++
+	}
+	t.ledger.Admit(k)
 	t.mu.Unlock()
+	if k == 0 {
+		return
+	}
+	f := transport.Encode(m, true)
 	for _, to := range remote {
-		e.enqueue(to, wire)
+		e.enqueue(to, f.Wire)
 	}
-	if selfDeliver {
-		e.deliverSelf(wire)
+	if self {
+		// No socket, but the frame still round-trips the codec (decoded on
+		// the delivering worker), so a self-delivery observes exactly what
+		// a remote would.
+		e.Dispatch(f)
 	}
-}
-
-// admit performs the under-lock part of sending to one destination:
-// egress accounting, destination lookup, flight count. Callers hold t.mu.
-// It returns (self, known); a count has been taken for every admitted
-// destination (self==true or known==true).
-func (e *Endpoint) admit(to msg.ProcID) (self, known bool) {
-	t := e.tr
-	if to == e.id {
-		t.addFlight(1)
-		return true, true
-	}
-	e.egress.Add(1)
-	if t.addrs[to] == "" {
-		t.downDrops.Add(1)
-		return false, false
-	}
-	t.addFlight(1)
-	return false, true
-}
-
-// forward settles one Push admission outside the transport lock.
-func (e *Endpoint) forward(to msg.ProcID, wire []byte, self, known bool) {
-	switch {
-	case self:
-		e.deliverSelf(wire)
-	case known:
-		e.enqueue(to, wire)
-	}
-}
-
-// deliverSelf short-circuits a send to the endpoint's own process: no
-// socket, but the frame still round-trips the codec so a self-delivery
-// observes exactly what a remote would.
-func (e *Endpoint) deliverSelf(wire []byte) {
-	m, err := msg.DecodeShared(wire)
-	if err != nil {
-		// Our own encoding failed to decode: a codec bug, not a network
-		// fault — surface it loudly.
-		panic(fmt.Sprintf("nettcp: wire codec round-trip: %v", err))
-	}
-	e.dispatch(m)
 }
 
 // enqueue hands an admitted frame to the destination's writer thread. A
@@ -420,13 +278,13 @@ func (e *Endpoint) deliverSelf(wire []byte) {
 func (e *Endpoint) enqueue(to msg.ProcID, wire []byte) {
 	p := e.peerFor(to)
 	if p == nil {
-		e.tr.dropFrame()
+		e.tr.ledger.Drop()
 		return
 	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		e.tr.dropFrame()
+		e.tr.ledger.Drop()
 		return
 	}
 	select {
@@ -434,7 +292,7 @@ func (e *Endpoint) enqueue(to msg.ProcID, wire []byte) {
 		p.mu.Unlock()
 	default:
 		p.mu.Unlock()
-		e.tr.dropFrame()
+		e.tr.ledger.Drop()
 	}
 }
 
@@ -500,7 +358,7 @@ func (e *Endpoint) runReader(c net.Conn) {
 	if _, err := readHandshake(br); err != nil {
 		return
 	}
-	if _, err := c.Write(appendHandshake(make([]byte, 0, handshakeLen), e.id)); err != nil {
+	if _, err := c.Write(appendHandshake(make([]byte, 0, handshakeLen), e.ID())); err != nil {
 		return
 	}
 	c.SetDeadline(time.Time{})
@@ -513,86 +371,23 @@ func (e *Endpoint) runReader(c net.Conn) {
 		if err != nil {
 			return
 		}
-		e.tr.addFlight(1)
-		e.dispatch(m)
+		e.tr.ledger.Admit(1)
+		e.Dispatch(transport.Frame{M: m})
 	}
-}
-
-// dispatch hands m to a parked worker when one is free to claim it, and
-// spawns a fresh worker otherwise (netsim's claim-based pool; see its
-// dispatch for the invariants). Workers are spawned through proc.Go —
-// nettcp has no exemption from the goroutine-discipline rule.
-func (e *Endpoint) dispatch(m *msg.NetMsg) {
-	e.wmu.Lock()
-	if e.closed {
-		e.wmu.Unlock()
-		e.tr.doneFlight()
-		return
-	}
-	if e.idle > 0 {
-		e.idle-- // reserve the worker: the mailbox send below cannot block
-		e.wmu.Unlock()
-		e.mail <- m
-		return
-	}
-	e.wmu.Unlock()
-	proc.Go(func(*proc.Thread) { e.work(m) })
-}
-
-// work delivers first, then joins the endpoint's worker pool: park (up to
-// the idle quota) and drain claimed deliveries until the pool is retired.
-func (e *Endpoint) work(first *msg.NetMsg) {
-	m := first
-	for {
-		e.deliver(m)
-		e.wmu.Lock()
-		if e.closed || e.idle >= maxIdleWorkers {
-			e.wmu.Unlock()
-			return
-		}
-		e.idle++
-		e.wmu.Unlock()
-		var ok bool
-		if m, ok = <-e.mail; !ok {
-			return
-		}
-	}
-}
-
-// deliver hands m to the handler on the calling goroutine.
-func (e *Endpoint) deliver(m *msg.NetMsg) {
-	defer e.tr.doneFlight()
-	e.mu.Lock()
-	h, up := e.handler, e.up
-	e.mu.Unlock()
-	if !up || h == nil {
-		e.tr.downDrops.Add(1)
-		return
-	}
-	e.tr.delivered.Add(1)
-	e.ingress.Add(1)
-	h(m)
 }
 
 // Stats returns a snapshot of the transport counters.
 func (t *Transport) Stats() transport.Stats {
-	return transport.Stats{
-		Sent:       t.sent.Load(),
-		Delivered:  t.delivered.Load(),
-		Dropped:    t.dropped.Load(),
-		DownDrops:  t.downDrops.Load(),
-		Batches:    t.batches.Load(),
-		Reconnects: t.reconnects.Load(),
-	}
+	s := t.ledger.Stats()
+	s.Reconnects = t.reconnects.Load()
+	return s
 }
 
 // Quiesce waits until no locally observable delivery work remains: queued
 // outbound frames, decoded inbound frames, running handlers. A frame
 // already written to a socket is done from this side's point of view;
 // cross-process callers poll protocol state on top (see transport.Quiesce).
-func (t *Transport) Quiesce() {
-	t.waitFlight()
-}
+func (t *Transport) Quiesce() { t.ledger.Quiesce() }
 
 // Stop shuts the transport down: listeners close, writer threads are
 // reaped (their queued frames retired as drops), inbound connections are
@@ -602,7 +397,7 @@ func (t *Transport) Stop() {
 	t.mu.Lock()
 	if t.stopped {
 		t.mu.Unlock()
-		t.waitFlight()
+		t.ledger.Quiesce()
 		return
 	}
 	t.stopped = true
@@ -615,14 +410,9 @@ func (t *Transport) Stop() {
 	for _, e := range eps {
 		e.shutdownIO()
 	}
-	t.waitFlight()
+	t.ledger.Quiesce()
 	for _, e := range eps {
-		e.wmu.Lock()
-		if !e.closed {
-			e.closed = true
-			close(e.mail)
-		}
-		e.wmu.Unlock()
+		e.Retire()
 	}
 }
 
@@ -652,7 +442,7 @@ func (e *Endpoint) shutdownIO() {
 		for {
 			select {
 			case <-p.q:
-				e.tr.dropFrame()
+				e.tr.ledger.Drop()
 			default:
 				goto drained
 			}

@@ -130,51 +130,6 @@ func TestMulticastSharesOneEncodingAndSelfDelivers(t *testing.T) {
 	}
 }
 
-func TestUnknownDestinationIsDownDrop(t *testing.T) {
-	tr := New(clock.NewReal(), Options{})
-	defer tr.Stop()
-	a, _ := attach(t, tr, 1)
-	a.Push(9, call(1))
-	tr.Quiesce()
-	if st := tr.Stats(); st.DownDrops != 1 || st.Delivered != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestDownEndpointNeitherSendsNorReceives(t *testing.T) {
-	tr := New(clock.NewReal(), Options{})
-	defer tr.Stop()
-	a, _ := attach(t, tr, 1)
-	b, cb := attach(t, tr, 2)
-
-	a.Push(2, call(1))
-	waitFor(t, "first delivery", func() bool { return cb.count() == 1 })
-
-	b.SetUp(false)
-	a.Push(2, call(2))
-	waitFor(t, "down drop", func() bool { return tr.Stats().DownDrops == 1 })
-
-	a.SetUp(false)
-	a.Push(2, call(3)) // discarded at source
-	if got := tr.Stats().Sent; got != 2 {
-		t.Fatalf("sent = %d, want 2 (down sender must not send)", got)
-	}
-
-	a.SetUp(true)
-	b.SetUp(true)
-	a.Push(2, call(4))
-	waitFor(t, "recovery delivery", func() bool { return cb.count() == 2 })
-}
-
-func TestDuplicateAttachRejected(t *testing.T) {
-	tr := New(clock.NewReal(), Options{})
-	defer tr.Stop()
-	attach(t, tr, 1)
-	if _, err := tr.Attach(1, nil); err == nil {
-		t.Fatal("second Attach of id 1 accepted")
-	}
-}
-
 // TestReconnectAfterRestart is the handshake/reconnect state machine's
 // core scenario: the destination process dies (its transport stops), comes
 // back on the same address under a new transport instance, and the
@@ -359,18 +314,6 @@ func TestStopWithDeadPeerDoesNotHang(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("Stop hung on a dead peer's backlog")
-	}
-}
-
-func TestSendAfterStopIsDiscarded(t *testing.T) {
-	tr := New(clock.NewReal(), Options{})
-	a, _ := attach(t, tr, 1)
-	attach(t, tr, 2)
-	tr.Stop()
-	a.Push(2, call(1)) // must not panic or hang
-	a.Multicast(msg.Group{1, 2}, call(2))
-	if st := tr.Stats(); st.Sent != 0 {
-		t.Fatalf("sends admitted after Stop: %+v", st)
 	}
 }
 

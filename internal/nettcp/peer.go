@@ -93,23 +93,23 @@ func (e *Endpoint) runPeer(p *peer, th *proc.Thread) {
 			return
 		}
 		if th.IsKilled() {
-			t.dropFrame()
+			t.ledger.Drop()
 			continue // drain fast; the empty-queue select above exits
 		}
 		if conn == nil {
 			c, err := e.dial(p.to)
 			if err == nil && !p.adopt(c) {
 				c.Close()
-				t.dropFrame()
+				t.ledger.Drop()
 				return
 			}
 			if err != nil {
-				t.dropFrame()
+				t.ledger.Drop()
 			drain:
 				for {
 					select {
 					case <-p.q:
-						t.dropFrame()
+						t.ledger.Drop()
 					default:
 						break drain
 					}
@@ -138,13 +138,13 @@ func (e *Endpoint) runPeer(p *peer, th *proc.Thread) {
 			err = w.Flush()
 		}
 		if err != nil {
-			t.dropFrame()
+			t.ledger.Drop()
 			conn.Close()
 			p.clearConn()
 			conn, w = nil, nil
 			continue
 		}
-		t.doneFlight() // written: the frame has left our hands
+		t.ledger.Done() // written: the frame has left our hands
 	}
 }
 
@@ -175,7 +175,7 @@ func (e *Endpoint) dial(to msg.ProcID) (net.Conn, error) {
 		c = tls.Client(c, cfg)
 	}
 	c.SetDeadline(t.clk.Now().Add(t.opts.DialTimeout))
-	if _, err := c.Write(appendHandshake(make([]byte, 0, handshakeLen), e.id)); err != nil {
+	if _, err := c.Write(appendHandshake(make([]byte, 0, handshakeLen), e.ID())); err != nil {
 		c.Close()
 		return nil, err
 	}

@@ -38,9 +38,9 @@ type Thread struct {
 // Go runs fn on its own goroutine bound to a fresh detached Thread and
 // returns the Thread. The spawner owns the handle: Kill requests cooperative
 // termination (fn observes it via Killed/IsKilled) and Done reports exit.
-// All framework goroutines outside internal/proc and internal/netsim are
-// spawned through Go or Threads.Go — never with a bare go statement — so
-// every long-lived goroutine has a handle through which crash injection and
+// All framework goroutines outside internal/proc are spawned through Go,
+// Threads.Go or a Pool — never with a bare go statement — so every
+// long-lived goroutine has a handle through which crash injection and
 // shutdown paths can reap it (enforced by mrpclint's goroutine-discipline
 // rule).
 func Go(fn func(*Thread)) *Thread {

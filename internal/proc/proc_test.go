@@ -87,3 +87,40 @@ func TestSiteLifecycle(t *testing.T) {
 		t.Fatalf("second recovery inc = %d, want 3 (strictly increasing)", inc)
 	}
 }
+
+// TestPoolClaimAndClose: a run blocked in the pool never delays the next
+// value, parked workers are reused, and a closed pool runs nothing.
+func TestPoolClaimAndClose(t *testing.T) {
+	release := make(chan struct{})
+	ran := make(chan int, 8)
+	var p Pool[int]
+	p.Init(func(v int) {
+		if v == 0 {
+			<-release
+		}
+		ran <- v
+	})
+	p.Dispatch(0) // blocks its worker
+	for v := 1; v <= 3; v++ {
+		if !p.Dispatch(v) {
+			t.Fatal("open pool refused a value")
+		}
+		select {
+		case got := <-ran:
+			if got != v {
+				t.Fatalf("ran %d, want %d", got, v)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("value %d waited behind a blocked run", v)
+		}
+	}
+	close(release)
+	if got := <-ran; got != 0 {
+		t.Fatalf("ran %d, want the released 0", got)
+	}
+	p.Close()
+	p.Close() // idempotent
+	if p.Dispatch(4) {
+		t.Fatal("closed pool accepted a value")
+	}
+}

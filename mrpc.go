@@ -319,19 +319,6 @@ func (s *System) Net() Transport { return s.net }
 //	if sim := sys.Sim(); sim != nil { sim.Partition(1, 2, true) }
 func (s *System) Sim() *netsim.Network { return s.sim }
 
-// Network returns the underlying simulated network.
-//
-// Deprecated: use Net for the transport-agnostic interface or Sim for
-// simulator-only fault controls. Network panics on a non-simulated
-// transport (it predates the transport seam and its callers assume fault
-// injection is available).
-func (s *System) Network() *netsim.Network {
-	if s.sim == nil {
-		panic("mrpc: Network() on a non-simulated transport; use Net() or Sim()")
-	}
-	return s.sim
-}
-
 // Store returns the shared stable storage.
 func (s *System) Store() *stable.Store { return s.store }
 
@@ -756,15 +743,6 @@ func (n *Node) Link() Link { return n.ep }
 // against ground truth — in particular that a gray-slow member is never on
 // its Suspected list.
 func (n *Node) Detector() *member.Detector { return n.currentDetector() }
-
-// Endpoint returns the node's attachment to the simulated network, or nil
-// on a non-simulated transport.
-//
-// Deprecated: use Link — the per-endpoint surface is transport-agnostic.
-func (n *Node) Endpoint() *netsim.Endpoint {
-	ep, _ := n.ep.(*netsim.Endpoint)
-	return ep
-}
 
 // Config returns the node's current configuration (Reconfigure changes it).
 func (n *Node) Config() Config { return n.config() }

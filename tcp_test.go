@@ -88,9 +88,8 @@ func TestFacadeOverTCP(t *testing.T) {
 }
 
 // TestSimOnlySurfacesOnTCP pins the seam's contract for simulator-only
-// controls on a real transport: Sim() is nil, the per-node simulator
-// endpoint is nil, and the deprecated Network() panics rather than
-// returning a simulator that is not there.
+// controls on a real transport: Sim() is nil, while the transport-agnostic
+// per-node Link() is still there.
 func TestSimOnlySurfacesOnTCP(t *testing.T) {
 	sys := tcpSystem(t)
 	if sys.Sim() != nil {
@@ -100,16 +99,7 @@ func TestSimOnlySurfacesOnTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Endpoint() != nil {
-		t.Fatal("deprecated Endpoint() non-nil on a TCP transport")
-	}
 	if n.Link() == nil {
 		t.Fatal("Link() nil")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("deprecated Network() did not panic on a TCP transport")
-		}
-	}()
-	sys.Network()
 }
