@@ -38,6 +38,18 @@ import (
 //     client's link to member 1 races a no-wait batch AND a drain-class
 //     none→FIFO reconfiguration — admission's quiesce and the reliable
 //     layer's retransmissions both thread the flapping window (D19).
+//
+//   - fifo-tree-accept-one: synchronous FIFO with acceptance 1 over a
+//     tree(3) on six members. The client moves on after the first reply
+//     while the previous call is still being relayed to the leaf members,
+//     so a leaf can hear call k+1 first. Before lane bases (D10) the leaf
+//     started its FIFO lane at k+1 and dropped k for good, breaking
+//     same-set in most runs.
+//
+//   - fifo-concurrent-callers: two no-wait batches and a waited one from
+//     the same client under FIFO, so calls are issued concurrently and
+//     can arrive in either order. A lane opened at the later call dropped
+//     the earlier one, which then never completed.
 func TestGoldenSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden seeds skipped in -short mode")

@@ -300,6 +300,13 @@ type Framework struct {
 	// protocol consults it to avoid sequencing duplicates of pre-swap calls.
 	executedQuery func(msg.CallKey) bool
 
+	// laneBaseQuery, installed by Reliable Communication, returns the lane
+	// base a client stamps on an outgoing call (see Framework.LaneBase).
+	// issueMu spans RPC Main's issue of one call from id allocation to its
+	// lane base, so concurrent callers register their calls in id order.
+	laneBaseQuery func(msg.CallID) msg.CallID
+	issueMu       sync.Mutex
+
 	// Causal Order state (extension; see causal.go). vc is the CBCAST
 	// vector: this process's own entry counts calls it has issued, other
 	// entries count calls delivered (executed) from those clients.
@@ -477,6 +484,30 @@ func (fw *Framework) SetExecutedQuery(q func(msg.CallKey) bool) {
 // slot no reply will ever release.
 func (fw *Framework) AlreadyExecuted(key msg.CallKey) bool {
 	return fw.executedQuery != nil && fw.executedQuery(key)
+}
+
+// SetLaneBaseQuery installs (or with nil, removes) Reliable
+// Communication's lane-base query; see Framework.LaneBase. Configuration
+// mutator (before Start or under the swap barrier).
+func (fw *Framework) SetLaneBaseQuery(q func(msg.CallID) msg.CallID) {
+	fw.mustConfigure("SetLaneBaseQuery")
+	fw.laneBaseQuery = q
+}
+
+// LaneBase returns the lane base RPC Main stamps on the outgoing call id
+// when the composite orders FIFO: the lowest id of an earlier call of the
+// same incarnation, sent to the same group, that Reliable Communication is
+// still transmitting, or id itself when there is none. Every call from the
+// base up to id is then either already received by every member or still
+// being redelivered to the members that lack it, so a server that first
+// hears this client at id can start its FIFO lane at the base without
+// waiting for a call that will never come (D10). Without Reliable
+// Communication there is no such promise and LaneBase returns 0 (no base).
+func (fw *Framework) LaneBase(id msg.CallID) msg.CallID {
+	if fw.laneBaseQuery == nil {
+		return 0
+	}
+	return fw.laneBaseQuery(id)
 }
 
 // --- Causal Order support (extension; see causal.go) ---------------------

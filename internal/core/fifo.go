@@ -14,15 +14,24 @@ import (
 // client's current incarnation.
 //
 // Initialization of the per-client sequence follows the paper by default:
-// the first call that *arrives* defines the starting point. That is sound
-// for synchronous clients (call k+1 is only issued after call k completed
-// everywhere it will ever be observed from) and lets a restarted server
-// resynchronize, but it is a liveness hazard for *pipelined* asynchronous
-// clients — a reordered first batch would make the server adopt a later
-// call as the start and drop the earlier ones forever. StrictInit fixes
-// that by expecting each incarnation's sequence to start at its first call
-// (which the D9 id scheme makes recognizable); the configuration layer
-// enables it automatically for asynchronous-call services.
+// the first call that *arrives* defines the starting point, which lets a
+// restarted server resynchronize. The paper's rule assumes call k+1 is only
+// issued after call k reached every server that will ever see it; that
+// fails as soon as acceptance is below the whole group — the client moves
+// on after the first replies while call k is still on its way to (or being
+// relayed towards) slower members, and the substrate may deliver k+1 first.
+// A server adopting k+1 as the start would then drop k forever. With
+// Reliable Communication a FIFO-ordered client therefore stamps each call
+// with a lane base (see Framework.LaneBase): the lowest earlier call it is
+// still transmitting. A lane opened by a server in its first incarnation
+// starts at the base and holds later calls until the earlier ones arrive;
+// a recovered server may have received those calls before its crash, so
+// it keeps the paper's rule.
+//
+// For *pipelined* asynchronous clients StrictInit goes further and expects
+// each incarnation's sequence to start at its first call (which the D9 id
+// scheme makes recognizable); the configuration layer enables it
+// automatically for asynchronous-call services.
 type FIFOOrder struct {
 	// StrictInit makes the expected sequence of a newly seen incarnation
 	// start at its first call instead of at the first call to arrive.
@@ -71,23 +80,33 @@ func firstCallID(inc msg.Incarnation) msg.CallID {
 	return msg.CallID(int64(inc)<<32 | 1)
 }
 
-func (f *FIFOOrder) start(m *msg.NetMsg) msg.CallID {
+// start returns where a new lane for m's client incarnation begins. An
+// arriving call may start it at its lane base; an adopted one may not.
+func (f *FIFOOrder) start(m *msg.NetMsg, arriving bool) msg.CallID {
 	if f.StrictInit {
 		return firstCallID(m.Inc)
+	}
+	if base := m.AckID; arriving && base != 0 && base < m.ID &&
+		msg.Incarnation(base>>32) == m.Inc && f.fw().Inc() == firstIncarnation {
+		return base
 	}
 	return m.ID
 }
 
-// admit applies the FIFO delivery rule to an arriving (or adopted) call.
-// It returns release=true when the call is next in its client's sequence
-// (the caller forwards it up) and stale=true when the call belongs to a
-// dead incarnation or an already-served position (the caller discards it).
-func (f *FIFOOrder) admit(m *msg.NetMsg) (release, stale bool) {
+// firstIncarnation is a site's incarnation until its first recovery.
+const firstIncarnation msg.Incarnation = 1
+
+// admit applies the FIFO delivery rule to an arriving (or, with arriving
+// false, adopted) call. It returns release=true when the call is next in
+// its client's sequence (the caller forwards it up) and stale=true when the
+// call belongs to a dead incarnation or an already-served position (the
+// caller discards it).
+func (f *FIFOOrder) admit(m *msg.NetMsg, arriving bool) (release, stale bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	ip, seen := f.inProgress[m.Client]
 	if !seen {
-		ip = &fifoEntry{inc: m.Inc, next: f.start(m)}
+		ip = &fifoEntry{inc: m.Inc, next: f.start(m, arriving)}
 		f.inProgress[m.Client] = ip
 	} else {
 		if ip.inc > m.Inc || (ip.inc == m.Inc && m.ID < ip.next) {
@@ -95,7 +114,7 @@ func (f *FIFOOrder) admit(m *msg.NetMsg) (release, stale bool) {
 		}
 		if ip.inc < m.Inc {
 			ip.inc = m.Inc
-			ip.next = f.start(m)
+			ip.next = f.start(m, arriving)
 		}
 	}
 	return m.ID == ip.next, false
@@ -106,9 +125,10 @@ func (f *FIFOOrder) admit(m *msg.NetMsg) (release, stale bool) {
 // calls are dropped from the table directly (there is no occurrence to
 // cancel). The reconfiguration engine adopts calls in (client, id) order,
 // so a freshly initialized sequence adopts each client's earliest held call
-// as its starting point.
+// as its starting point — not its lane base: the drain before the swap
+// settled every earlier call, so none of them is still coming.
 func (f *FIFOOrder) Adopt(key msg.CallKey, m *msg.NetMsg) {
-	release, stale := f.admit(m)
+	release, stale := f.admit(m, false)
 	switch {
 	case stale:
 		f.fw().DropServerCall(key)
@@ -132,7 +152,7 @@ func (f *FIFOOrder) Attach(fw *Framework) error {
 			if m.Type != msg.OpCall {
 				return
 			}
-			release, stale := f.admit(m)
+			release, stale := f.admit(m, true)
 			switch {
 			case stale:
 				// Stale incarnation or already-served call: discard

@@ -140,6 +140,63 @@ func TestFIFOStrictInitHoldsReorderedOpening(t *testing.T) {
 	}
 }
 
+// laneCall is callMsg carrying a lane base, as Reliable Communication
+// stamps it on a client's calls.
+func laneCall(id, base msg.CallID, group msg.Group, payload string) *msg.NetMsg {
+	m := callMsg(100, id, 1, group, payload)
+	m.AckID = base
+	return m
+}
+
+func TestFIFOLaneBaseHoldsReorderedSuccessor(t *testing.T) {
+	net := newMemNet()
+	n, srv := fifoNode(t, net)
+	group := msg.NewGroup(1)
+
+	// The client moved on to call 3 while call 2 was still in transit here
+	// (acceptance below the group size), and call 3 arrives first: its
+	// lane base names call 2, so the fresh lane waits for it.
+	n.fw.HandleNet(laneCall(mkID(1, 3), mkID(1, 2), group, "c3"))
+	if got := srv.executed(); len(got) != 0 {
+		t.Fatalf("executed %v before the lane base arrived", got)
+	}
+	n.fw.HandleNet(laneCall(mkID(1, 2), mkID(1, 2), group, "c2"))
+	got := srv.executed()
+	if len(got) != 2 || got[0] != "c2" || got[1] != "c3" {
+		t.Fatalf("executed %v, want [c2 c3]", got)
+	}
+	if n.fw.PendingServerCalls() != 0 {
+		t.Fatal("records left after draining")
+	}
+}
+
+func TestFIFOLaneBaseIgnoredByRecoveredServer(t *testing.T) {
+	net := newMemNet()
+	n, srv := fifoNode(t, net)
+	group := msg.NewGroup(1)
+	// A recovered server may have received the base call before its crash
+	// and will not be sent it again: it keeps the first-arrival rule.
+	n.fw.SetInc(2)
+
+	n.fw.HandleNet(laneCall(mkID(1, 3), mkID(1, 2), group, "c3"))
+	if got := srv.executed(); len(got) != 1 || got[0] != "c3" {
+		t.Fatalf("executed %v, want [c3]", got)
+	}
+}
+
+func TestFIFOLaneBaseOfAnotherIncarnationIgnored(t *testing.T) {
+	net := newMemNet()
+	n, srv := fifoNode(t, net)
+	group := msg.NewGroup(1)
+
+	m := laneCall(mkID(2, 3), mkID(1, 2), group, "c3")
+	m.Inc = 2
+	n.fw.HandleNet(m)
+	if got := srv.executed(); len(got) != 1 || got[0] != "c3" {
+		t.Fatalf("executed %v, want [c3]", got)
+	}
+}
+
 // totalGroup builds a 3-server group with Total Order; returns nodes and
 // their recorders. Servers are 1..3; leader is 3.
 func totalGroup(t *testing.T, net *memNet, ms member.Service) ([]*testNode, []*recordingServer) {

@@ -138,6 +138,30 @@ func (r *ReliableCommunication) Outstanding() int {
 	return len(r.live)
 }
 
+// laneBase implements the Framework's lane-base query (Framework.LaneBase)
+// for a call NEW_RPC_CALL has just registered.
+func (r *ReliableCommunication) laneBase(id msg.CallID) msg.CallID {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e, ok := r.live[id]; ok {
+		return r.lowestLiveLocked(e)
+	}
+	return id
+}
+
+// lowestLiveLocked returns the lowest id among e and the live calls of the
+// same incarnation sent to the same group — only those are still being
+// redelivered to every member e goes to. The caller holds r.mu.
+func (r *ReliableCommunication) lowestLiveLocked(e *relEntry) msg.CallID {
+	low := e.id
+	for id, o := range r.live {
+		if id < low && id>>32 == e.id>>32 && o.group.Equal(e.group) {
+			low = id
+		}
+	}
+	return low
+}
+
 // Attach implements MicroProtocol.
 func (r *ReliableCommunication) Attach(fw *Framework) error {
 	retrans, lingerRounds := r.params()
@@ -145,6 +169,7 @@ func (r *ReliableCommunication) Attach(fw *Framework) error {
 	r.b = b
 	r.live = make(map[msg.CallID]*relEntry)
 	r.seen = make(map[msg.CallKey]bool)
+	fw.SetLaneBaseQuery(r.laneBase)
 
 	mark := func(id msg.CallID, from msg.ProcID, reply bool) {
 		r.mu.Lock()
@@ -266,6 +291,7 @@ func (r *ReliableCommunication) Attach(fw *Framework) error {
 	handleTimeout = func(*event.Occurrence) {
 		type resend struct {
 			to msg.ProcID
+			e  *relEntry
 			m  *msg.NetMsg
 		}
 		var out []resend
@@ -303,17 +329,25 @@ func (r *ReliableCommunication) Attach(fw *Framework) error {
 				if e.acks[i]&need != 0 {
 					continue
 				}
-				out = append(out, resend{to: p, m: &msg.NetMsg{
-					Type:   msg.OpCall,
-					ID:     e.id,
-					Client: fw.Self(),
-					Op:     e.op,
-					Args:   e.args,
-					Server: e.group,
-					Sender: fw.Self(),
-					Inc:    fw.Inc(),
-					VC:     e.vc,
-				}})
+				out = append(out, resend{to: p, e: e})
+			}
+		}
+		// Build the resends only now: entries settled or abandoned in this
+		// round are gone, so a lane base never names a call that will not
+		// be redelivered.
+		for i := range out {
+			e := out[i].e
+			out[i].m = &msg.NetMsg{
+				Type:   msg.OpCall,
+				ID:     e.id,
+				Client: fw.Self(),
+				Op:     e.op,
+				Args:   e.args,
+				Server: e.group,
+				Sender: fw.Self(),
+				Inc:    fw.Inc(),
+				AckID:  r.lowestLiveLocked(e),
+				VC:     e.vc,
 			}
 		}
 		r.mu.Unlock()
@@ -327,4 +361,7 @@ func (r *ReliableCommunication) Attach(fw *Framework) error {
 }
 
 // Detach implements MicroProtocol.
-func (r *ReliableCommunication) Detach(*Framework) { r.b.Detach() }
+func (r *ReliableCommunication) Detach(fw *Framework) {
+	r.b.Detach()
+	fw.SetLaneBaseQuery(nil)
+}

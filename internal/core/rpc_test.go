@@ -372,6 +372,71 @@ func TestReliableLingersUntilAllMembersReceive(t *testing.T) {
 	}
 }
 
+func TestReliableStampsLaneBase(t *testing.T) {
+	// A FIFO-ordered client stamps each call with its lane base: the
+	// lowest earlier call of the same incarnation and group that is still
+	// being transmitted (D10). Here member 2 never receives anything, so
+	// the first call stays live after it completes via member 1.
+	clk := clock.NewSim()
+	net := newMemNet()
+	net.async = true
+	addNode(t, net, 1, nodeOpts{server: echoServer(), clk: clk},
+		&RPCMain{}, &SynchronousCall{}, &Acceptance{Limit: 1}, &Collation{},
+		&ReliableCommunication{RetransTimeout: 10 * time.Millisecond})
+	net.setHook(func(to msg.ProcID, m *msg.NetMsg) bool { return to == 2 })
+	client := addNode(t, net, 100, nodeOpts{clk: clk},
+		&RPCMain{}, &SynchronousCall{}, &Acceptance{Limit: 1}, &Collation{},
+		&ReliableCommunication{RetransTimeout: 10 * time.Millisecond}, &FIFOOrder{})
+
+	base := func(id msg.CallID, to msg.ProcID) msg.CallID {
+		t.Helper()
+		var b msg.CallID
+		found := false
+		for _, s := range net.sentLog() {
+			if s.M.Type == msg.OpCall && s.M.ID == id && s.To == to {
+				b, found = s.M.AckID, true
+			}
+		}
+		if !found {
+			t.Fatalf("call %d never sent to %d", id, to)
+		}
+		return b
+	}
+
+	pair := msg.NewGroup(1, 2)
+	first := client.fw.Call(1, []byte("a"), pair).ID
+	second := client.fw.Call(1, []byte("b"), pair).ID
+	alone := client.fw.Call(1, []byte("c"), msg.NewGroup(1)).ID
+	net.wait()
+	if got := base(first, 2); got != first {
+		t.Fatalf("first call's base = %d, want its own id %d", got, first)
+	}
+	if got := base(second, 2); got != first {
+		t.Fatalf("second call's base = %d, want the live first call %d", got, first)
+	}
+	if got := base(alone, 1); got != alone {
+		t.Fatalf("base of a call to another group = %d, want its own id %d", got, alone)
+	}
+
+	// Retransmissions carry the base too.
+	clk.Advance(10 * time.Millisecond)
+	net.wait()
+	if got := base(second, 2); got != first {
+		t.Fatalf("resent second call's base = %d, want %d", got, first)
+	}
+
+	// Once member 2 has both calls, nothing earlier is live.
+	client.fw.HandleNet(&msg.NetMsg{Type: msg.OpCallAck, Client: 100, Sender: 2, AckID: first})
+	client.fw.HandleNet(&msg.NetMsg{Type: msg.OpCallAck, Client: 100, Sender: 2, AckID: second})
+	clk.Advance(10 * time.Millisecond)
+	net.wait()
+	third := client.fw.Call(1, []byte("d"), pair).ID
+	net.wait()
+	if got := base(third, 2); got != third {
+		t.Fatalf("base after settling = %d, want its own id %d", got, third)
+	}
+}
+
 func TestCloseAbortsPendingCalls(t *testing.T) {
 	net := newMemNet()
 	client := addNode(t, net, 100, nodeOpts{}, minimalClient(1)...)

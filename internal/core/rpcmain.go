@@ -80,22 +80,17 @@ func (r *RPCMain) Attach(fw *Framework) error {
 			if fw.CausalEnabled() {
 				vc = fw.StampOutgoingCall()
 			}
-			rec := fw.NewClientRec(um.Op, um.Args, um.Server, vc)
-			um.ID = rec.ID
-			um.Status = msg.StatusWaiting
-
-			// The paper's one deliberate event cascade: announcing the new
-			// call runs the NEW_RPC_CALL chain (Reliable Communication,
-			// Bounded Termination, ...) to completion before the request is
-			// multicast. NEW_RPC_CALL handlers never trigger CALL_FROM_USER,
-			// so the recursion is one level deep by construction. The id
-			// rides in a pooled box: boxing the int64 into the event
-			// argument directly would allocate on every call.
-			ib := callIDPool.Get().(*msg.CallID)
-			*ib = rec.ID
-			//lint:ignore handler-discipline NEW_RPC_CALL cascade is the paper's design; no cycle back into CALL_FROM_USER
-			fw.Bus().Trigger(event.NewRPCCall, ib)
-			callIDPool.Put(ib)
+			var rec *ClientRecord
+			var base msg.CallID
+			// openCall runs the NEW_RPC_CALL cascade, the paper's one
+			// deliberate re-entrant dispatch (see openCall).
+			if fw.hold[HoldFIFO] && fw.laneBaseQuery != nil {
+				//lint:ignore handler-discipline NEW_RPC_CALL cascade is the paper's design; no cycle back into CALL_FROM_USER
+				rec, base = openLaneBasedCall(fw, um, vc)
+			} else {
+				//lint:ignore handler-discipline NEW_RPC_CALL cascade is the paper's design; no cycle back into CALL_FROM_USER
+				rec = openCall(fw, um, vc)
+			}
 
 			call := &msg.NetMsg{
 				Type:   msg.OpCall,
@@ -106,6 +101,7 @@ func (r *RPCMain) Attach(fw *Framework) error {
 				Server: rec.Server,
 				Sender: fw.Self(),
 				Inc:    fw.Inc(),
+				AckID:  base,
 				VC:     rec.VC,
 			}
 			fw.Net().Multicast(rec.Server, call)
@@ -123,6 +119,39 @@ func (r *RPCMain) Attach(fw *Framework) error {
 func (r *RPCMain) Detach(fw *Framework) {
 	r.b.Detach()
 	fw.ClearHold(HoldMain)
+}
+
+// openCall records a new client call in pRPC and announces it via
+// NEW_RPC_CALL.
+func openCall(fw *Framework, um *msg.UserMsg, vc msg.VClock) *ClientRecord {
+	rec := fw.NewClientRec(um.Op, um.Args, um.Server, vc)
+	um.ID = rec.ID
+	um.Status = msg.StatusWaiting
+
+	// The paper's one deliberate event cascade: announcing the new call
+	// runs the NEW_RPC_CALL chain (Reliable Communication, Bounded
+	// Termination, ...) to completion before the request is multicast.
+	// NEW_RPC_CALL handlers never trigger CALL_FROM_USER, so the recursion
+	// is one level deep by construction. The id rides in a pooled box:
+	// boxing the int64 into the event argument directly would allocate on
+	// every call.
+	ib := callIDPool.Get().(*msg.CallID)
+	*ib = rec.ID
+	fw.Bus().Trigger(event.NewRPCCall, ib)
+	callIDPool.Put(ib)
+	return rec
+}
+
+// openLaneBasedCall is openCall for a FIFO-ordered composite with Reliable
+// Communication, returning the call's lane base as well (D10). Issue is
+// serialized from id allocation to the lane base: a concurrent caller that
+// draws the next id must find this call already registered with Reliable
+// Communication, or its base could skip a call that is still on its way.
+func openLaneBasedCall(fw *Framework, um *msg.UserMsg, vc msg.VClock) (*ClientRecord, msg.CallID) {
+	fw.issueMu.Lock()
+	defer fw.issueMu.Unlock()
+	rec := openCall(fw, um, vc)
+	return rec, fw.LaneBase(rec.ID)
 }
 
 // SynchronousCall implements synchronous RPC semantics (§4.4.2): the

@@ -175,7 +175,7 @@ type NetMsg struct {
 	Server Group       // identity of the server group
 	Sender ProcID      // sender of this message
 	Inc    Incarnation // sender's incarnation number (clients)
-	AckID  CallID      // id of a call being acknowledged (ACK)
+	AckID  CallID      // id of a call being acknowledged (ACK); on a CALL, the FIFO lane base (D10)
 	Order  int64       // total order sequence number (ORDER)
 	VC     VClock      // causal timestamp (Causal Order extension)
 	Relay  uint8       // dissemination-tree fanout k; 0 = flat (D17)
