@@ -6,6 +6,11 @@ package mrpc_test
 // micro-protocol ladder step (E6/Figure 4's choices), acceptance and loss
 // sweeps (E5/E9/E10), ordering (E7), the monolithic baseline (E8), and the
 // configuration machinery itself (E4).
+//
+// E6, E8 and E14 time the same rigs their experiments time
+// (internal/experiments/rig.go). The others stay separate from their
+// experiments on purpose: an experiment times latency shape on a delayed
+// or lossy network, while its benchmark times CPU cost per call.
 
 import (
 	"fmt"
@@ -14,32 +19,23 @@ import (
 	"time"
 
 	"mrpc"
-	"mrpc/internal/baseline"
-	"mrpc/internal/clock"
 	"mrpc/internal/config"
 	"mrpc/internal/experiments"
 	"mrpc/internal/msg"
-	"mrpc/internal/netsim"
-	"mrpc/internal/p2p"
 )
 
-// benchSystem builds one server (echo) and one client with cfg over a
-// network with the given params.
+// benchSystem builds echo servers 1..servers and one client with cfg over
+// a network with the given params.
 func benchSystem(b *testing.B, cfg mrpc.Config, servers int, p mrpc.NetParams) (*mrpc.System, *mrpc.Node, mrpc.Group, mrpc.OpID) {
 	b.Helper()
 	sys := mrpc.NewSystem(mrpc.SystemOptions{Net: p})
 	b.Cleanup(sys.Stop)
 	reg := mrpc.NewRegistry()
 	echo := reg.Register("echo", func(_ *mrpc.Thread, args []byte) []byte { return args })
-	newApp := func() mrpc.App { return reg }
-	if cfg.Execution == config.ExecAtomic {
-		// Atomic execution needs checkpointable state.
-		newApp = func() mrpc.App { return &benchCkApp{} }
-	}
 	ids := make([]mrpc.ProcID, servers)
 	for i := range ids {
 		ids[i] = mrpc.ProcID(i + 1)
-		if _, err := sys.AddServer(ids[i], cfg, newApp); err != nil {
+		if _, err := sys.AddServer(ids[i], cfg, func() mrpc.App { return reg }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -48,6 +44,19 @@ func benchSystem(b *testing.B, cfg mrpc.Config, servers int, p mrpc.NetParams) (
 		b.Fatal(err)
 	}
 	return sys, client, sys.Group(ids...), echo
+}
+
+// benchRig times b.N calls on one of the experiments' rigs.
+func benchRig(b *testing.B, r experiments.Rig) {
+	b.Helper()
+	b.Cleanup(r.Stop)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.Call(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func benchCalls(b *testing.B, client *mrpc.Node, op mrpc.OpID, group mrpc.Group, payload []byte) {
@@ -119,12 +128,11 @@ func BenchmarkE5ReadOne(b *testing.B) {
 }
 
 // BenchmarkE6Ablation measures the per-call cost of each micro-protocol
-// ladder step over a perfect zero-delay network.
+// ladder step on the rig E6 times.
 func BenchmarkE6Ablation(b *testing.B) {
 	for _, c := range experiments.AblationCases() {
 		b.Run(sanitize(c.Name), func(b *testing.B) {
-			_, client, group, op := benchSystem(b, c.Cfg, 1, mrpc.NetParams{})
-			benchCalls(b, client, op, group, nil)
+			benchRig(b, experiments.CompositeRig(c.Cfg, 1))
 		})
 	}
 }
@@ -152,34 +160,13 @@ func BenchmarkE7Ordering(b *testing.B) {
 }
 
 // BenchmarkE8Monolithic compares the composite protocol against the
-// hand-fused monolithic baseline with identical semantics.
+// hand-fused monolithic baseline with identical semantics, on E8's rigs.
 func BenchmarkE8Monolithic(b *testing.B) {
 	b.Run("Monolithic", func(b *testing.B) {
-		clk := clock.NewReal()
-		net := netsim.New(clk, netsim.Params{})
-		b.Cleanup(net.Stop)
-		if _, err := baseline.NewServer(net, 1, func(_ msg.OpID, args []byte) []byte {
-			return args
-		}); err != nil {
-			b.Fatal(err)
-		}
-		client, err := baseline.NewClient(net, clk, 100, 50*time.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(client.Close)
-		group := msg.NewGroup(1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			client.Call(1, nil, group, 1)
-		}
+		benchRig(b, experiments.FusedRig(1))
 	})
 	b.Run("Composite", func(b *testing.B) {
-		cfg := config.ExactlyOncePreset()
-		cfg.RetransTimeout = 50 * time.Millisecond
-		_, client, group, op := benchSystem(b, cfg, 1, mrpc.NetParams{})
-		benchCalls(b, client, op, group, nil)
+		benchRig(b, experiments.CompositeRig(experiments.ExactlyOnce(), 1))
 	})
 }
 
@@ -247,32 +234,9 @@ func BenchmarkE12Bounded(b *testing.B) {
 }
 
 // BenchmarkE14PointToPoint measures the compact §4.1 point-to-point
-// specialization against the composite (see internal/experiments/e14.go
-// for the experiment version).
+// specialization on E14's rig.
 func BenchmarkE14PointToPoint(b *testing.B) {
-	clk := clock.NewReal()
-	net := netsim.New(clk, netsim.Params{})
-	b.Cleanup(net.Stop)
-	opts := p2p.Options{Reliable: true, Unique: true, RetransTimeout: 50 * time.Millisecond}
-	srv, err := p2p.NewServer(net, 1, opts, func(_ *mrpc.Thread, _ msg.OpID, args []byte) []byte {
-		return args
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(srv.Close)
-	client, err := p2p.NewClient(net, clk, 100, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(client.Close)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, status := client.Call(1, 1, nil); status != mrpc.StatusOK {
-			b.Fatal(status)
-		}
-	}
+	benchRig(b, experiments.CompactRig())
 }
 
 // BenchmarkTableContention measures call throughput as concurrent caller
@@ -329,23 +293,6 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 		_ = buf
 	}
-}
-
-// benchCkApp is a checkpointable echo app for atomic-execution benchmarks.
-type benchCkApp struct{ n int64 }
-
-func (a *benchCkApp) Pop(_ *mrpc.Thread, _ mrpc.OpID, args []byte) []byte {
-	a.n++
-	return args
-}
-
-func (a *benchCkApp) Snapshot() []byte {
-	return mrpc.NewWriter(8).PutInt64(a.n).Bytes()
-}
-
-func (a *benchCkApp) Restore(data []byte) error {
-	a.n = mrpc.NewReader(data).Int64()
-	return nil
 }
 
 func sanitize(s string) string {

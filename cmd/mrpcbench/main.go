@@ -6,88 +6,48 @@
 // Usage:
 //
 //	mrpcbench              run every experiment
-//	mrpcbench -e E5        run one experiment (E1..E14, E8b)
+//	mrpcbench -e E5        run one experiment
 //	mrpcbench -seed 42     change the fault-injection seed
-//
-// It doubles as the benchmark snapshot runner (see bench.go):
-//
-//	mrpcbench -bench pre   run the Go benchmark suite -n times interleaved,
-//	                       take medians, write BENCH_pre.json
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
+	"strings"
 
 	"mrpc/internal/experiments"
 )
 
 func main() {
+	ids := make([]string, len(experiments.Index))
+	for i, e := range experiments.Index {
+		ids[i] = e.ID
+	}
+	known := strings.Join(ids, ", ")
 	var (
-		exp  = flag.String("e", "", "experiment id to run (E1..E14, E8b); empty = all")
+		exp  = flag.String("e", "", "experiment id to run ("+known+"); empty = all")
 		seed = flag.Int64("seed", 7, "fault-injection seed")
-
-		bench     = flag.String("bench", "", "benchmark snapshot label; runs the suite and writes BENCH_<label>.json")
-		benchRe   = flag.String("benchre", "E6|E8|MulticastFanout|WireCodec", "benchmark name regex for -bench mode")
-		benchN    = flag.Int("n", 5, "interleaved whole-suite passes in -bench mode")
-		benchTime = flag.String("benchtime", "1s", "go test -benchtime value in -bench mode")
-		benchPkg  = flag.String("pkg", "./...", "package pattern benchmarked in -bench mode")
-
-		open        = flag.Bool("open", false, "run the open-loop heavy-traffic benchmark (see openloop.go)")
-		openRate    = flag.Int("rate", 20000, "open-loop arrival rate, calls/s")
-		openServers = flag.Int("servers", 3, "open-loop server group size")
-		openRuns    = flag.Int("runs", 3, "open-loop passes (median by p50 is reported)")
-		openDur     = flag.Duration("dur", 3*time.Second, "open-loop duration per pass")
-		openLabel   = flag.String("openlabel", "", "merge the open-loop median into BENCH_<label>.json")
 	)
 	flag.Parse()
 
-	if *open {
-		if err := runOpenMode(*openLabel, *openRate, *openServers, *openRuns, *openDur); err != nil {
-			fmt.Fprintf(os.Stderr, "mrpcbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bench != "" {
-		// The "tcp" label snapshots the TCP-transport benchmarks (call
-		// path, multicast fanout, framing) unless a regex was given.
-		benchReSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "benchre" {
-				benchReSet = true
-			}
-		})
-		if *bench == "tcp" && !benchReSet {
-			*benchRe = "TCP"
-		}
-		path, err := runBenchMode(*bench, *benchRe, *benchTime, *benchPkg, *benchN)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mrpcbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("mrpcbench: wrote %s (medians of %d passes over -bench %q)\n", path, *benchN, *benchRe)
-		return
-	}
-
+	run := experiments.Index
 	if *exp != "" {
-		r, ok := experiments.ByID(*exp, *seed)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "mrpcbench: unknown experiment %q\n", *exp)
+		run = nil
+		for _, e := range experiments.Index {
+			if e.ID == *exp {
+				run = []experiments.Experiment{e}
+			}
+		}
+		if run == nil {
+			fmt.Fprintf(os.Stderr, "mrpcbench: unknown experiment %q (known: %s)\n", *exp, known)
 			os.Exit(2)
 		}
-		fmt.Print(r)
-		if !r.Pass {
-			os.Exit(1)
-		}
-		return
 	}
 
 	failed := 0
-	for _, r := range experiments.All(*seed) {
+	for _, e := range run {
+		r := e.Run(*seed)
 		fmt.Print(r)
 		fmt.Println()
 		if !r.Pass {

@@ -237,6 +237,72 @@ func TestServerCrashRecoverServesAgain(t *testing.T) {
 	}
 }
 
+// TestTotalOrderRecoveredLeaderRejoins crashes and recovers the total-order
+// leader (the highest id). Its state is fresh after recovery, so without a
+// rejoin round it numbered the next call 1 again, and the two survivors,
+// already past slot 2, dropped the call as served.
+func TestTotalOrderRecoveredLeaderRejoins(t *testing.T) {
+	sys := mrpc.NewSystem(mrpc.SystemOptions{Membership: mrpc.MembershipOracle})
+	defer sys.Stop()
+
+	cfg := mrpc.ExactlyOnce()
+	cfg.Ordering = mrpc.OrderTotal
+	cfg.RetransTimeout = 5 * time.Millisecond
+	group := sys.Group(1, 2, 3)
+	apps := make(map[mrpc.ProcID]*ckApp)
+	var leader *mrpc.Node
+	for _, id := range group {
+		app := &ckApp{}
+		apps[id] = app
+		n, err := sys.AddServer(id, cfg, func() mrpc.App { return app })
+		if err != nil {
+			t.Fatal(err)
+		}
+		leader = n
+	}
+	client, err := sys.AddClient(100, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	executedBy := func(ids []mrpc.ProcID, args string) bool {
+		for _, id := range ids {
+			found := false
+			for _, a := range apps[id].executed() {
+				found = found || a == args
+			}
+			if !found {
+				return false
+			}
+		}
+		return true
+	}
+	waitExecuted := func(ids []mrpc.ProcID, args string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !executedBy(ids, args) {
+			if time.Now().After(deadline) {
+				t.Fatalf("call %q not executed by all of %v", args, ids)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	for _, args := range []string{"a", "b"} {
+		if _, status, _ := client.Call(1, []byte(args), group); status != mrpc.StatusOK {
+			t.Fatalf("call %q: %v", args, status)
+		}
+	}
+	waitExecuted(group, "b")
+	leader.Crash()
+	if err := leader.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if _, status, _ := client.Call(1, []byte("c"), group); status != mrpc.StatusOK {
+		t.Fatalf("call after the leader's rejoin: %v", status)
+	}
+	waitExecuted(sys.Group(1, 2), "c")
+}
+
 func TestMembershipOracleCompletesCallsOnFailure(t *testing.T) {
 	sys := mrpc.NewSystem(mrpc.SystemOptions{Membership: mrpc.MembershipOracle})
 	defer sys.Stop()

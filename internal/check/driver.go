@@ -302,12 +302,19 @@ func RunOver(sc Scenario, newTransport TransportFactory) (*Result, error) {
 }
 
 // settle polls the group until server-side call tables and the reliable
-// layer's transmission entries drain.
+// layer's transmission entries drain, and every frame sent has been
+// delivered or counted lost.
 func settle(sys *mrpc.System, servers int, deadline time.Time) error {
 	clk := sys.Clock()
 	for {
 		sys.Quiesce()
-		pending := 0
+		// Over TCP, Quiesce treats a frame written to a socket as done, so
+		// a relayed call can still be on the wire once Reliable
+		// Communication is off. Wait for the accounting identity too: sent
+		// + duplicated = delivered + dropped + partitioned + down.
+		st := sys.Net().Stats()
+		unsettled := max(0, int(st.Sent+st.Duplicated-st.Delivered-st.Dropped-st.Partition-st.DownDrops))
+		pending := unsettled
 		for i := 1; i <= servers; i++ {
 			n, ok := sys.Node(msg.ProcID(i))
 			if !ok || n.Down() {
@@ -334,6 +341,9 @@ func settle(sys *mrpc.System, servers int, deadline time.Time) error {
 			}
 			if rc, ok := outstandingOf(sys, servers); ok && rc > 0 {
 				detail += fmt.Sprintf(" retrans=%d", rc)
+			}
+			if unsettled > 0 {
+				detail += fmt.Sprintf(" frames=%d", unsettled)
 			}
 			return fmt.Errorf("check: settle timed out with %d pending%s", pending, detail)
 		}

@@ -566,10 +566,10 @@ func faultyNetScenario(cfg config.Config, rng *rand.Rand) (Scenario, bool) {
 func crashRecoverScenario(cfg config.Config, rng *rand.Rand) (Scenario, bool) {
 	if cfg.Ordering == config.OrderTotal {
 		// Total order is crash-stop for group members: a recovered member
-		// rejoins with a fresh entry sequence and would hold newly
-		// sequenced calls forever (the paper's §4.4.6 agreement covers
-		// leader failure, not member rejoin — DESIGN.md D4). Client
-		// crashes under total order are covered by the orphan template.
+		// rejoins at the group's frontier but skips the calls ordered
+		// while it was down (no state transfer — DESIGN.md D4), so it
+		// would never reply to them. Client crashes under total order are
+		// covered by the orphan template.
 		return Scenario{}, false
 	}
 	if strictFIFO(cfg) {

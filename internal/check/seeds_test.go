@@ -18,10 +18,12 @@ import (
 //     id) crashes mid-run, forcing the §4.4.6 ORDER_QUERY/ORDER_INFO
 //     takeover agreement, while the client is partitioned from the new
 //     leader — its calls reach the sequencer only via follower nudging. The
-//     old leader then recovers quiescently at the end of the run: with no
-//     traffic after rejoin the group must still settle (a recovered member
-//     under total order is crash-stop for sequencing purposes, see D15, so
-//     the corpus does not demand liveness for post-recovery calls).
+//     old leader then recovers while the no-wait calls are still in
+//     flight and, as the highest id, leads again: its rejoin round (D4)
+//     must number them above everything the group already used. Before
+//     the round it restarted at 1, the survivors dropped the calls as
+//     served, and the batch hung in a few percent of runs (about half
+//     under -race).
 //
 //   - drain-reconfig-crash: a no-wait call batch races a drain-class
 //     reconfiguration (attaching FIFO order spans call lifetimes, so

@@ -23,10 +23,12 @@ import (
 //
 // Causality therefore flows through replies: if client B issues a call
 // after seeing a reply that reflects client A's call, every server
-// executes A's call first. Calls with no causal relation may execute in
-// different orders at different members — strictly weaker than Total
-// Order, strictly stronger than FIFO (a client's own calls are trivially
-// causally related).
+// executes A's call first. A reply's vector also counts the calls still
+// executing, since under concurrent execution it may already reflect
+// them, and Unique Execution's resent replies carry a vector too. Calls
+// with no causal relation may execute in different orders at different
+// members — strictly weaker than Total Order, strictly stronger than FIFO
+// (a client's own calls are trivially causally related).
 //
 // Like FIFO and Total Order it requires Reliable Communication and Unique
 // Execution. A recovered client restarts its numbering; the server resets

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mrpc/internal/msg"
+	"mrpc/internal/proc"
 )
 
 func causalNode(t *testing.T, net *memNet, id msg.ProcID) (*testNode, *recordingServer) {
@@ -74,15 +75,62 @@ func TestCausalRepliesCarryDeliveredVector(t *testing.T) {
 	n, _ := causalNode(t, net, 1)
 	group := msg.NewGroup(1)
 
-	n.fw.HandleNet(causalCall(100, 1, 1, group, "a1", msg.VClock{100: 1}))
-	var replyVC msg.VClock
+	m := causalCall(100, 1, 1, group, "a1", msg.VClock{100: 1})
+	n.fw.HandleNet(m.Clone())
+	// A duplicate gets Unique Execution's retained reply, which must carry
+	// the vector too: a resend that overtook the original reply used to
+	// hand the client the result without its dependencies.
+	n.fw.HandleNet(m.Clone())
+	replies := 0
 	for _, s := range net.sentLog() {
 		if s.M.Type == msg.OpReply {
-			replyVC = s.M.VC
+			replies++
+			if s.M.VC.Get(100) != 1 {
+				t.Fatalf("reply %d VC = %v, want {100:1}", replies, s.M.VC)
+			}
 		}
 	}
-	if replyVC.Get(100) != 1 {
-		t.Fatalf("reply VC = %v, want {100:1}", replyVC)
+	if replies != 2 {
+		t.Fatalf("%d replies, want the original and the resend", replies)
+	}
+}
+
+// holdA1 blocks the execution of "a1" until released.
+type holdA1 struct{ entered, release chan struct{} }
+
+func (h holdA1) Pop(_ *proc.Thread, _ msg.OpID, args []byte) []byte {
+	if string(args) == "a1" {
+		close(h.entered)
+		<-h.release
+	}
+	return args
+}
+
+// TestCausalReplyCoversExecutingCalls: under concurrent execution a reply
+// may already reflect a call that is still executing, so its vector must
+// count that call. Before, b1's reply said {101:1}, and a client that read
+// a1's effect in it could issue a call that other members ran before a1.
+func TestCausalReplyCoversExecutingCalls(t *testing.T) {
+	net := newMemNet()
+	srv := holdA1{entered: make(chan struct{}), release: make(chan struct{})}
+	n := addNode(t, net, 1, nodeOpts{server: srv},
+		&RPCMain{}, &SynchronousCall{}, &Acceptance{Limit: 1}, &Collation{},
+		&UniqueExecution{}, &CausalOrder{})
+	group := msg.NewGroup(1)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		n.fw.HandleNet(causalCall(100, 1, 1, group, "a1", msg.VClock{100: 1}))
+	}()
+	<-srv.entered
+	n.fw.HandleNet(causalCall(101, 1, 1, group, "b1", msg.VClock{101: 1}))
+	close(srv.release)
+	<-done
+	for _, s := range net.sentLog() {
+		if s.M.Type == msg.OpReply && s.M.Client == 101 && s.M.VC.Get(100) != 1 {
+			t.Fatalf("b1's reply VC = %v, want a1 (100:1) counted", s.M.VC)
+		}
 	}
 }
 

@@ -313,6 +313,10 @@ type Framework struct {
 	causal bool
 	vcMu   sync.Mutex
 	vc     msg.VClock
+	// executing counts, per client, calls handed to the server procedure
+	// that vc does not count yet. Replies include them: under concurrent
+	// execution another call may already have seen their effects.
+	executing msg.VClock
 
 	// Serial Execution state (deviation D3): when serialMode is set,
 	// eligible calls execute one at a time through a drain queue rather
@@ -520,6 +524,7 @@ func (fw *Framework) EnableCausal() {
 	fw.causal = true
 	fw.vcMu.Lock()
 	fw.vc = make(msg.VClock)
+	fw.executing = make(msg.VClock)
 	fw.vcMu.Unlock()
 }
 
@@ -530,6 +535,7 @@ func (fw *Framework) DisableCausal() {
 	fw.causal = false
 	fw.vcMu.Lock()
 	fw.vc = nil
+	fw.executing = nil
 	fw.vcMu.Unlock()
 }
 
@@ -565,6 +571,32 @@ func (fw *Framework) MergeVC(o msg.VClock) {
 	fw.vcMu.Unlock()
 }
 
+// replyVC is the timestamp a reply carries (nil without Causal Order): the
+// delivered vector plus the calls still executing, so a client that saw
+// their effects in this reply orders its next call after them.
+func (fw *Framework) replyVC() msg.VClock {
+	if !fw.causal {
+		return nil
+	}
+	fw.vcMu.Lock()
+	defer fw.vcMu.Unlock()
+	v := fw.vc.Clone()
+	for q, n := range fw.executing {
+		v[q] += n
+	}
+	return v
+}
+
+// causalExec adds d to client's count of executing calls.
+func (fw *Framework) causalExec(client msg.ProcID, d int64) {
+	if !fw.causal {
+		return
+	}
+	fw.vcMu.Lock()
+	fw.executing[client] += d
+	fw.vcMu.Unlock()
+}
+
 // VCSnapshot returns a copy of the local vector.
 func (fw *Framework) VCSnapshot() msg.VClock {
 	fw.vcMu.Lock()
@@ -597,6 +629,9 @@ func (fw *Framework) CausalDeliverable(client msg.ProcID, t msg.VClock) bool {
 func (fw *Framework) BumpDelivered(client msg.ProcID) {
 	fw.vcMu.Lock()
 	fw.vc[client]++
+	if fw.executing[client] > 0 {
+		fw.executing[client]--
+	}
 	fw.vcMu.Unlock()
 }
 
@@ -605,6 +640,7 @@ func (fw *Framework) BumpDelivered(client msg.ProcID) {
 func (fw *Framework) ResetDelivered(client msg.ProcID) {
 	fw.vcMu.Lock()
 	delete(fw.vc, client)
+	delete(fw.executing, client)
 	fw.vcMu.Unlock()
 }
 
@@ -785,6 +821,7 @@ func (fw *Framework) executeCall(key msg.CallKey) {
 	}
 
 	var result []byte
+	fw.causalExec(client, 1) // undone by BumpDelivered or the kill below
 	if fw.server != nil && (th == nil || !th.IsKilled()) {
 		if fw.Tracing() {
 			fw.Emit(trace.Event{Kind: trace.KExecBegin, Client: key.Client, ID: key.ID, Op: op})
@@ -798,6 +835,7 @@ func (fw *Framework) executeCall(key msg.CallKey) {
 	if th != nil && th.IsKilled() {
 		// Terminate Orphan (or a crash) killed the computation: suppress
 		// the reply.
+		fw.causalExec(client, -1)
 		if r, ok := fw.TakeServer(key); ok {
 			releaseServerRec(r)
 		}
@@ -825,10 +863,6 @@ func (fw *Framework) executeCall(key msg.CallKey) {
 	// (which already includes this call): merging it at the client makes
 	// subsequent calls causally follow everything executed before this
 	// reply.
-	var replyVC msg.VClock
-	if fw.causal {
-		replyVC = fw.VCSnapshot()
-	}
 	reply := &msg.NetMsg{
 		Type:   msg.OpReply,
 		ID:     key.ID,
@@ -838,7 +872,7 @@ func (fw *Framework) executeCall(key msg.CallKey) {
 		Server: server,
 		Sender: fw.Self(),
 		Inc:    fw.Inc(),
-		VC:     replyVC,
+		VC:     fw.replyVC(),
 	}
 	srec, held := fw.TakeServer(key)
 	if held {

@@ -31,6 +31,14 @@ import (
 // AgreementDelay while the query round completes. This is crash-stop
 // agreement over fair-lossy links (the query round itself is retried by
 // the nudge timer), not partition-tolerant consensus; see DESIGN.md D4.
+//
+// A recovered member runs the same query round before it orders or
+// executes anything: its fresh state knows no assignment, so as the
+// highest-id member it would hand out numbers the group already used, and
+// as a follower it would wait for slot 1 forever. It holds every call
+// until the round completes, then starts executing above the highest
+// assignment the group reported; the calls below it were served while it
+// was down (no state transfer, DESIGN.md D15).
 type TotalOrder struct {
 	// NudgeInterval is how often a follower re-forwards calls that are
 	// still waiting for a sequence number to the current leader (default
@@ -59,6 +67,13 @@ type totalState struct {
 	nextEntry int64                // all: next number allowed to execute
 	groups    map[string]msg.Group // groups observed, for leader takeover
 	syncing   bool                 // new leader collecting ORDER_INFO; defer assignments
+
+	// Rejoin after recovery: nextEntry is 0 (no order matches, so every
+	// call is held) until the query round sent at rejoinAt has run for
+	// AgreementDelay; frontier is the highest order reported meanwhile.
+	rejoining bool
+	rejoinAt  time.Time
+	frontier  int64
 }
 
 // encodeOrders serializes a (key -> order) table for ORDER_INFO.
@@ -336,9 +351,13 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 				reported := decodeOrders(m.Args)
 				var learned []msg.CallKey
 				st.mu.Lock()
+				rejoining := st.rejoining
 				for k, ord := range reported {
 					if st.nextOrder < ord+1 {
 						st.nextOrder = ord + 1
+					}
+					if rejoining && st.frontier < ord {
+						st.frontier = ord
 					}
 					if _, ok := st.oldOrders[k]; !ok {
 						st.oldOrders[k] = ord
@@ -351,6 +370,12 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 				}
 				st.mu.Unlock()
 				for _, k := range learned {
+					if rejoining {
+						// The members that reported these still hold them
+						// and answer nudges; only our held calls need them.
+						to.applyOrder(fw, k, orders[k])
+						continue
+					}
 					fw.Net().Multicast(m.Server, &msg.NetMsg{
 						Type:   msg.OpOrder,
 						ID:     k.ID,
@@ -386,6 +411,7 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 	// re-arm goes through the binding, so the chain ends at Detach.
 	var nudge event.Handler
 	nudge = func(*event.Occurrence) {
+		to.rejoinStep(fw, agreementDelay)
 		st := to.st
 		st.mu.Lock()
 		var resend []*msg.NetMsg
@@ -402,6 +428,17 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 		b.After("TotalOrder.nudge", nudgeInterval, nudge)
 	}
 	b.After("TotalOrder.nudge", nudgeInterval, nudge)
+
+	// A recovered member starts a rejoin (see the type comment). Recovery
+	// is delivered before the endpoint comes up, so no call is ordered or
+	// executed from the fresh state first.
+	b.On(event.Recovery, "TotalOrder.rejoin", event.DefaultPriority,
+		func(*event.Occurrence) {
+			st := to.st
+			st.mu.Lock()
+			st.rejoining, st.syncing, st.nextEntry = true, true, 0
+			st.mu.Unlock()
+		})
 
 	// Leader takeover with the agreement phase the paper omits (see the
 	// type comment): the new leader first queries survivors for their
@@ -445,39 +482,101 @@ func (to *TotalOrder) Attach(fw *Framework) error {
 			st.mu.Lock()
 			st.syncing = true
 			st.mu.Unlock()
-			for _, g := range leading {
-				fw.Net().Multicast(g, &msg.NetMsg{
-					Type:   msg.OpOrderQuery,
-					Server: g,
-					Sender: fw.Self(),
-					Inc:    fw.Inc(),
-				})
-			}
+			to.query(fw, leading)
 			b.After("TotalOrder.agreementDone", agreementDelay,
 				func(*event.Occurrence) {
 					st := to.st
 					st.mu.Lock()
-					st.syncing = false
-					type pend struct {
-						key msg.CallKey
-						grp msg.Group
-					}
-					var pending []pend
-					for k, m := range st.waiting {
-						pending = append(pending, pend{key: k, grp: m.Server})
-					}
+					st.syncing = st.rejoining
 					st.mu.Unlock()
-					for _, g := range leading {
-						for _, p := range pending {
-							if p.grp.Equal(g) {
-								to.assign(fw, p.key, g)
-							}
-						}
-					}
+					to.assignWaiting(fw)
 				})
 		})
 
 	return b.Err()
+}
+
+// query asks the members of each group for their order tables.
+func (to *TotalOrder) query(fw *Framework, groups []msg.Group) {
+	for _, g := range groups {
+		fw.Net().Multicast(g, &msg.NetMsg{
+			Type:   msg.OpOrderQuery,
+			Server: g,
+			Sender: fw.Self(),
+			Inc:    fw.Inc(),
+		})
+	}
+}
+
+// assignWaiting gives a number to every held, unordered call of a group
+// this member leads, unless an agreement round is still deferring
+// assignments.
+func (to *TotalOrder) assignWaiting(fw *Framework) {
+	st := to.st
+	st.mu.Lock()
+	if st.syncing {
+		st.mu.Unlock()
+		return
+	}
+	var pending []*msg.NetMsg
+	for _, m := range st.waiting {
+		pending = append(pending, m)
+	}
+	st.mu.Unlock()
+	for _, m := range pending {
+		if fw.totalLeader(m.Server) == fw.Self() {
+			to.assign(fw, m.Key(), m.Server)
+		}
+	}
+}
+
+// rejoinStep advances a recovered member's rejoin on each nudge tick: once
+// a call has shown which groups it serves it queries them, and
+// agreementDelay later it starts executing above the reported frontier,
+// dropping the held calls below it. Driving the round from the nudge
+// timer lets it survive a swap: the successor inherits the state and
+// re-arms the timer.
+func (to *TotalOrder) rejoinStep(fw *Framework, agreementDelay time.Duration) {
+	st := to.st
+	st.mu.Lock()
+	if !st.rejoining || len(st.groups) == 0 {
+		st.mu.Unlock()
+		return
+	}
+	now := fw.Bus().Clock().Now()
+	if st.rejoinAt.IsZero() {
+		st.rejoinAt = now
+		groups := make([]msg.Group, 0, len(st.groups))
+		for _, g := range st.groups {
+			groups = append(groups, g)
+		}
+		st.mu.Unlock()
+		to.query(fw, groups)
+		return
+	}
+	if now.Sub(st.rejoinAt) < agreementDelay {
+		st.mu.Unlock()
+		return
+	}
+	st.rejoining, st.syncing = false, false
+	st.nextEntry = st.frontier + 1 // ORDER_INFO already lifted nextOrder past it
+	var drop []msg.CallKey
+	for ord, key := range st.ready {
+		if ord < st.nextEntry {
+			drop = append(drop, key)
+			delete(st.ready, ord)
+		}
+	}
+	next, release := st.ready[st.nextEntry]
+	delete(st.ready, st.nextEntry)
+	st.mu.Unlock()
+	for _, key := range drop {
+		fw.DropServerCall(key)
+	}
+	if release {
+		fw.ForwardUp(next, HoldTotal)
+	}
+	to.assignWaiting(fw)
 }
 
 // Detach implements MicroProtocol.

@@ -115,7 +115,11 @@ func (u *UniqueExecution) Attach(fw *Framework) error {
 				if res, done := u.oldResults[key]; done {
 					u.mu.Unlock()
 					// Already executed and unacknowledged: resend the
-					// retained response.
+					// retained response. Under Causal Order it carries a
+					// current timestamp, which covers everything the
+					// original reply's did: without one, a resend that
+					// overtook the original let the client fold the result
+					// but not its causal dependencies.
 					if fw.Tracing() {
 						fw.Emit(trace.Event{Kind: trace.KDupDropped, Client: m.Client, ID: m.ID})
 					}
@@ -128,6 +132,7 @@ func (u *UniqueExecution) Attach(fw *Framework) error {
 						Server: m.Server,
 						Sender: fw.Self(),
 						Inc:    fw.Inc(),
+						VC:     fw.replyVC(),
 					})
 					o.Cancel()
 					return

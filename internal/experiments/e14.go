@@ -2,14 +2,8 @@ package experiments
 
 import (
 	"runtime"
+	"slices"
 	"time"
-
-	"mrpc"
-	"mrpc/internal/clock"
-	"mrpc/internal/config"
-	"mrpc/internal/msg"
-	"mrpc/internal/p2p"
-	"mrpc/internal/proc"
 )
 
 // E14PointToPoint quantifies the paper's §4.1 remark that point-to-point
@@ -27,11 +21,8 @@ func E14PointToPoint() *Report {
 	// than the specialization gap being measured. Timing noise is strictly
 	// additive (preemption only ever lengthens a window), so the minimum
 	// over interleaved passes is the robust estimator of each side's true
-	// cost. (The bench snapshot runner interleaves whole-suite passes for
-	// the same reason.)
+	// cost.
 	const passes = 5
-	cfg := config.ExactlyOncePreset()
-	cfg.RetransTimeout = 50 * time.Millisecond
 	compactS := make([]time.Duration, 0, passes)
 	compositeS := make([]time.Duration, 0, passes)
 	for i := 0; i < passes; i++ {
@@ -39,12 +30,12 @@ func E14PointToPoint() *Report {
 		// between benchmarks) so heap debt from earlier experiments is not
 		// charged to whichever side runs first.
 		runtime.GC()
-		compactS = append(compactS, p2pCallCost(calls))
+		compactS = append(compactS, perCall(CompactRig(), calls))
 		runtime.GC()
-		compositeS = append(compositeS, AblationCall(cfg, calls))
+		compositeS = append(compositeS, perCall(CompositeRig(ExactlyOnce(), 1), calls))
 	}
-	compact := minDuration(compactS)
-	composite := minDuration(compositeS)
+	compact := slices.Min(compactS)
+	composite := slices.Min(compositeS)
 
 	r.addf("%-38s %-12s", "implementation", "us/call")
 	r.addf("%-38s %-12.1f", "compact p2p (fused, exactly-once)", float64(compact.Nanoseconds())/1e3)
@@ -54,46 +45,4 @@ func E14PointToPoint() *Report {
 	}
 	r.Pass = compact < composite
 	return r
-}
-
-// minDuration returns the smallest of a non-empty sample set.
-func minDuration(ds []time.Duration) time.Duration {
-	m := ds[0]
-	for _, d := range ds[1:] {
-		if d < m {
-			m = d
-		}
-	}
-	return m
-}
-
-func p2pCallCost(calls int) time.Duration {
-	clk := clock.NewReal()
-	net := mrpc.NewSimNet(clk, mrpc.NetParams{})
-	defer net.Stop()
-
-	opts := p2p.Options{Reliable: true, Unique: true, RetransTimeout: 50 * time.Millisecond}
-	srv, err := p2p.NewServer(net, 1, opts, func(_ *proc.Thread, _ msg.OpID, args []byte) []byte {
-		return args
-	})
-	if err != nil {
-		panic(err)
-	}
-	defer srv.Close()
-	client, err := p2p.NewClient(net, clk, 100, opts)
-	if err != nil {
-		panic(err)
-	}
-	defer client.Close()
-
-	for i := 0; i < 50; i++ {
-		client.Call(1, 1, nil)
-	}
-	t0 := clk.Now()
-	for i := 0; i < calls; i++ {
-		if _, status := client.Call(1, 1, nil); status != msg.StatusOK {
-			panic("p2pCallCost: call failed")
-		}
-	}
-	return clk.Now().Sub(t0) / time.Duration(calls)
 }

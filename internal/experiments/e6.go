@@ -54,32 +54,6 @@ func AblationCases() []ablationCase {
 	}
 }
 
-// AblationCall measures the mean in-process call latency of one
-// configuration over a perfect zero-delay network (so the measured cost is
-// the composite protocol itself, not simulated wire time).
-func AblationCall(cfg mrpc.Config, calls int) time.Duration {
-	sys := mrpc.NewSystem(mrpc.SystemOptions{})
-	defer sys.Stop()
-
-	server, client := mustPair(sys, cfg)
-	_ = server
-	group := sys.Group(1)
-
-	// Warm up.
-	for i := 0; i < 50; i++ {
-		if _, status, err := client.Call(opEcho, nil, group); err != nil || status != mrpc.StatusOK {
-			panic("AblationCall: warmup failure")
-		}
-	}
-	t0 := sys.Clock().Now()
-	for i := 0; i < calls; i++ {
-		if _, status, err := client.Call(opEcho, nil, group); err != nil || status != mrpc.StatusOK {
-			panic("AblationCall: call failure")
-		}
-	}
-	return sys.Clock().Now().Sub(t0) / time.Duration(calls)
-}
-
 // E6Ablation measures the incremental per-call cost of each
 // micro-protocol — the quantitative side of the paper's claim that the
 // event-driven structure "facilitates configurability without adversely
@@ -91,7 +65,7 @@ func E6Ablation() *Report {
 	var base time.Duration
 	r.addf("%-38s %-12s %-10s", "configuration", "us/call", "vs minimal")
 	for i, c := range AblationCases() {
-		d := AblationCall(c.Cfg, calls)
+		d := perCall(CompositeRig(c.Cfg, 1), calls)
 		if i == 0 {
 			base = d
 		}
@@ -103,23 +77,4 @@ func E6Ablation() *Report {
 	}
 	r.Pass = true
 	return r
-}
-
-// mustPair adds one echo server (id 1) and one client (id 100) with cfg.
-func mustPair(sys *mrpc.System, cfg mrpc.Config) (*mrpc.Node, *mrpc.Node) {
-	var server *mrpc.Node
-	var err error
-	if cfg.Execution == config.ExecAtomic {
-		server, err = sys.AddServer(1, cfg, func() mrpc.App { return newCountingApp() })
-	} else {
-		server, err = sys.AddServer(1, cfg, func() mrpc.App { return echoApp{} })
-	}
-	if err != nil {
-		panic(err)
-	}
-	client, err := sys.AddClient(100, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return server, client
 }

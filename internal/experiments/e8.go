@@ -1,14 +1,6 @@
 package experiments
 
-import (
-	"time"
-
-	"mrpc"
-	"mrpc/internal/baseline"
-	"mrpc/internal/clock"
-	"mrpc/internal/config"
-	"mrpc/internal/msg"
-)
+import "mrpc"
 
 // E8Monolithic measures the cost of configurability: the composite
 // protocol (exactly-once, acceptance 1, synchronous) against a monolithic
@@ -18,10 +10,8 @@ func E8Monolithic() *Report {
 	r := &Report{ID: "E8", Title: "composition overhead vs monolithic baseline (same semantics)"}
 	const calls = 2000
 
-	mono := monolithicCall(calls)
-	cfg := config.ExactlyOncePreset()
-	cfg.RetransTimeout = 50 * time.Millisecond
-	comp := AblationCall(cfg, calls)
+	mono := perCall(FusedRig(1), calls)
+	comp := perCall(CompositeRig(ExactlyOnce(), 1), calls)
 
 	r.addf("%-34s %-12s", "implementation", "us/call")
 	r.addf("%-34s %-12.1f", "monolithic (fused)", float64(mono.Nanoseconds())/1e3)
@@ -36,43 +26,17 @@ func E8Monolithic() *Report {
 	return r
 }
 
-func monolithicCall(calls int) time.Duration {
-	clk := clock.NewReal()
-	net := mrpc.NewSimNet(clk, mrpc.NetParams{})
-	defer net.Stop()
-
-	_, err := baseline.NewServer(net, 1, func(_ msg.OpID, args []byte) []byte {
-		return append([]byte(nil), args...)
-	})
-	if err != nil {
-		panic(err)
-	}
-	client, err := baseline.NewClient(net, clk, 100, 50*time.Millisecond)
-	if err != nil {
-		panic(err)
-	}
-	defer client.Close()
-
-	group := msg.NewGroup(1)
-	for i := 0; i < 50; i++ {
-		client.Call(opEcho, nil, group, 1)
-	}
-	t0 := clk.Now()
-	for i := 0; i < calls; i++ {
-		client.Call(opEcho, nil, group, 1)
-	}
-	return clk.Now().Sub(t0) / time.Duration(calls)
-}
-
 // E8GroupThroughput is the group-size sweep companion: calls/s of the
 // composite vs the baseline for 1, 3 and 5 servers, acceptance ALL.
 func E8GroupThroughput() *Report {
 	r := &Report{ID: "E8b", Title: "composite vs monolithic: group-size sweep (acceptance ALL)"}
 	const calls = 500
+	cfg := ExactlyOnce()
+	cfg.AcceptanceLimit = mrpc.AcceptAll
 	r.addf("%-8s %-16s %-16s %-10s", "servers", "mono us/call", "composite us/call", "ratio")
 	for _, n := range []int{1, 3, 5} {
-		mono := monolithicGroupCall(n, calls)
-		comp := compositeGroupCall(n, calls)
+		mono := perCall(FusedRig(n), calls)
+		comp := perCall(CompositeRig(cfg, n), calls)
 		ratio := 0.0
 		if mono > 0 {
 			ratio = float64(comp) / float64(mono)
@@ -82,65 +46,4 @@ func E8GroupThroughput() *Report {
 	}
 	r.Pass = true
 	return r
-}
-
-func monolithicGroupCall(n, calls int) time.Duration {
-	clk := clock.NewReal()
-	net := mrpc.NewSimNet(clk, mrpc.NetParams{})
-	defer net.Stop()
-	ids := make([]msg.ProcID, n)
-	for i := range ids {
-		ids[i] = msg.ProcID(i + 1)
-		if _, err := baseline.NewServer(net, ids[i], func(_ msg.OpID, args []byte) []byte {
-			return args
-		}); err != nil {
-			panic(err)
-		}
-	}
-	client, err := baseline.NewClient(net, clk, 100, 50*time.Millisecond)
-	if err != nil {
-		panic(err)
-	}
-	defer client.Close()
-	group := msg.NewGroup(ids...)
-	for i := 0; i < 20; i++ {
-		client.Call(opEcho, nil, group, n)
-	}
-	t0 := clk.Now()
-	for i := 0; i < calls; i++ {
-		client.Call(opEcho, nil, group, n)
-	}
-	return clk.Now().Sub(t0) / time.Duration(calls)
-}
-
-func compositeGroupCall(n, calls int) time.Duration {
-	sys := mrpc.NewSystem(mrpc.SystemOptions{})
-	defer sys.Stop()
-	cfg := config.ExactlyOncePreset()
-	cfg.RetransTimeout = 50 * time.Millisecond
-	cfg.AcceptanceLimit = mrpc.AcceptAll
-	ids := make([]mrpc.ProcID, n)
-	for i := range ids {
-		ids[i] = mrpc.ProcID(i + 1)
-		if _, err := sys.AddServer(ids[i], cfg, func() mrpc.App { return echoApp{} }); err != nil {
-			panic(err)
-		}
-	}
-	client, err := sys.AddClient(100, cfg)
-	if err != nil {
-		panic(err)
-	}
-	group := sys.Group(ids...)
-	for i := 0; i < 20; i++ {
-		if _, status, err := client.Call(opEcho, nil, group); err != nil || status != mrpc.StatusOK {
-			panic("compositeGroupCall: warmup failure")
-		}
-	}
-	t0 := sys.Clock().Now()
-	for i := 0; i < calls; i++ {
-		if _, status, err := client.Call(opEcho, nil, group); err != nil || status != mrpc.StatusOK {
-			panic("compositeGroupCall: call failure")
-		}
-	}
-	return sys.Clock().Now().Sub(t0) / time.Duration(calls)
 }

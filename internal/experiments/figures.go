@@ -118,65 +118,35 @@ func E4Enumeration() *Report {
 	return r
 }
 
-// All runs every experiment (E1–E12) and returns the reports in order.
-// seed makes the fault injection reproducible.
-func All(seed int64) []*Report {
-	return []*Report{
-		E1FailureSemantics(seed),
-		E2Properties(),
-		E3Registrations(),
-		E4Enumeration(),
-		E5ReadOne(seed),
-		E6Ablation(),
-		E7Ordering(seed),
-		E8Monolithic(),
-		E8GroupThroughput(),
-		E9Loss(seed),
-		E10Acceptance(seed),
-		E11Orphans(),
-		E12Bounded(),
-		E13Causal(seed),
-		E14PointToPoint(),
-		E15Saturation(),
-	}
+// Experiment is one entry of the experiment index (DESIGN.md §3). Run
+// executes it; seed makes its fault injection reproducible (experiments
+// without faults ignore it).
+type Experiment struct {
+	ID  string
+	Run func(seed int64) *Report
 }
 
-// ByID runs a single experiment by its id (case-sensitive, e.g. "E5").
-func ByID(id string, seed int64) (*Report, bool) {
-	switch id {
-	case "E1":
-		return E1FailureSemantics(seed), true
-	case "E2":
-		return E2Properties(), true
-	case "E3":
-		return E3Registrations(), true
-	case "E4":
-		return E4Enumeration(), true
-	case "E5":
-		return E5ReadOne(seed), true
-	case "E6":
-		return E6Ablation(), true
-	case "E7":
-		return E7Ordering(seed), true
-	case "E8":
-		return E8Monolithic(), true
-	case "E8b":
-		return E8GroupThroughput(), true
-	case "E9":
-		return E9Loss(seed), true
-	case "E10":
-		return E10Acceptance(seed), true
-	case "E11":
-		return E11Orphans(), true
-	case "E12":
-		return E12Bounded(), true
-	case "E13":
-		return E13Causal(seed), true
-	case "E14":
-		return E14PointToPoint(), true
-	case "E15":
-		return E15Saturation(), true
-	default:
-		return nil, false
-	}
+// Index lists every experiment in report order. mrpcbench and
+// TestExperimentsPass both run from it.
+var Index = []Experiment{
+	{"E1", E1FailureSemantics},
+	{"E2", seedless(E2Properties)},
+	{"E3", seedless(E3Registrations)},
+	{"E4", seedless(E4Enumeration)},
+	{"E5", E5ReadOne},
+	{"E6", seedless(E6Ablation)},
+	{"E7", E7Ordering},
+	{"E8", seedless(E8Monolithic)},
+	{"E8b", seedless(E8GroupThroughput)},
+	{"E9", E9Loss},
+	{"E10", E10Acceptance},
+	{"E11", seedless(E11Orphans)},
+	{"E12", seedless(E12Bounded)},
+	{"E13", E13Causal},
+	{"E14", seedless(E14PointToPoint)},
+	{"E15", seedless(E15Saturation)},
+}
+
+func seedless(run func() *Report) func(int64) *Report {
+	return func(int64) *Report { return run() }
 }

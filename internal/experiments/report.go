@@ -1,6 +1,6 @@
 // Package experiments contains the harness that regenerates every figure
 // of the paper (E1–E5) and the performance/fault characterizations that
-// back its design claims (E6–E12). Each experiment returns a Report with
+// back its design claims (E6–E15). Each experiment returns a Report with
 // the same rows the paper's figure presents plus a machine-checkable pass
 // flag; cmd/mrpcbench prints them and the test suite asserts them.
 //

@@ -238,19 +238,33 @@ func (m *NetMsg) Mutable() *NetMsg {
 // Clone returns a deep, unfrozen copy with an independent lifetime. The
 // elements of a batch frame stay shared (and frozen): a batch is a routing
 // envelope, and its sub-messages are immutable by construction.
+//
+// The copy is built field by field rather than as *m: another holder may
+// freeze m at any moment (one message queued to several destinations is
+// frozen by whichever flush batches it), and a whole-struct copy would
+// read the flag unsynchronized. The copy leaves frozen clear and drops
+// wire, since a modified copy would make the retained bytes stale.
 func (m *NetMsg) Clone() *NetMsg {
-	c := *m
-	c.frozen = 0
-	c.wire = nil // a copy may be modified; retained bytes would go stale
-	c.Server = m.Server.Clone()
-	c.VC = m.VC.Clone()
+	c := &NetMsg{
+		Type:   m.Type,
+		ID:     m.ID,
+		Client: m.Client,
+		Op:     m.Op,
+		Server: m.Server.Clone(),
+		Sender: m.Sender,
+		Inc:    m.Inc,
+		AckID:  m.AckID,
+		Order:  m.Order,
+		VC:     m.VC.Clone(),
+		Relay:  m.Relay,
+	}
 	if m.Args != nil {
 		c.Args = append([]byte(nil), m.Args...)
 	}
 	if m.Batch != nil {
 		c.Batch = append([]*NetMsg(nil), m.Batch...)
 	}
-	return &c
+	return c
 }
 
 // NewBatch builds an OpBatch frame coalescing subs (in order) for one

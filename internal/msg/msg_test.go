@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -63,10 +64,35 @@ func TestNetMsgClone(t *testing.T) {
 		Type:   OpCall,
 		ID:     7,
 		Client: 3,
+		Op:     5,
 		Args:   []byte{1, 2, 3},
 		Server: NewGroup(1, 2),
+		Sender: 3,
+		Inc:    2,
+		AckID:  6,
+		Order:  4,
+		VC:     VClock{3: 1},
+		Relay:  2,
+		Batch:  []*NetMsg{{Type: OpAck}},
 	}
+	// Clone copies field by field, so every exported field must be set
+	// here for the comparison below to catch one it forgets.
+	v := reflect.ValueOf(m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Type().Field(i); f.IsExported() && v.Field(i).IsZero() {
+			t.Fatalf("fixture leaves %s zero", f.Name)
+		}
+	}
+	m.Freeze()
 	c := m.Clone()
+	if c.Frozen() {
+		t.Fatal("Clone is frozen")
+	}
+	want := *m
+	want.frozen = 0
+	if !reflect.DeepEqual(c, &want) {
+		t.Fatalf("Clone = %+v, want %+v", c, &want)
+	}
 	c.Args[0] = 99
 	c.Server[0] = 42
 	if m.Args[0] == 99 || m.Server[0] == 42 {

@@ -65,9 +65,9 @@ func BenchmarkMulticastFanout(b *testing.B) {
 // fan-out, and (in wire mode) the single encode — which is the O(g) vs
 // O(k) claim under test. The backlog is drained untimed every benchChunk
 // iterations so pending timers stay bounded at any b.N. Run it with a
-// fixed iteration count (-benchtime 1000x, the mrpcbench -bench tree
-// snapshot recipe); duration-based benchtime ramps b.N far beyond what the
-// drain phases make sensible.
+// fixed iteration count (`go test -run '^$' -bench MulticastDissemination
+// -benchtime 1000x -count 5 ./internal/netsim`); duration-based benchtime
+// ramps b.N far beyond what the drain phases make sensible.
 func BenchmarkMulticastDissemination(b *testing.B) {
 	const fanout = 3
 	const benchChunk = 1000

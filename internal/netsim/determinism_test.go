@@ -262,7 +262,7 @@ func slicesEqual(a, b []msg.CallID) bool {
 // clock: the set of messages that pass, the partition-drop count and the
 // cycle count are exact functions of the schedule.
 func TestFlapScheduleDeterminism(t *testing.T) {
-	run := func() (delivered map[msg.CallID]int, st Stats) {
+	run := func() (delivered map[msg.CallID]int, st Stats, ps ProfileStats) {
 		clk := clock.NewSim()
 		n := New(clk, Params{})
 		defer n.Stop()
@@ -281,15 +281,15 @@ func TestFlapScheduleDeterminism(t *testing.T) {
 		}
 		<-done
 		n.Quiesce()
-		return outcomes(cb), n.Stats()
+		return outcomes(cb), n.Stats(), n.ProfileStats()
 	}
-	o1, st1 := run()
-	o2, st2 := run()
-	if st1 != st2 || !sameOutcomes(o1, o2) {
-		t.Fatalf("same flap script, different outcome: %+v vs %+v", st1, st2)
+	o1, st1, ps1 := run()
+	o2, st2, ps2 := run()
+	if st1 != st2 || ps1 != ps2 || !sameOutcomes(o1, o2) {
+		t.Fatalf("same flap script, different outcome: %+v %+v vs %+v %+v", st1, ps1, st2, ps2)
 	}
-	if st1.FlapCycles != 3 {
-		t.Fatalf("flap cycles = %d, want 3", st1.FlapCycles)
+	if ps1.FlapCycles != 3 {
+		t.Fatalf("flap cycles = %d, want 3", ps1.FlapCycles)
 	}
 	if st1.Partition != 6 {
 		t.Fatalf("partition drops = %d, want 6 (pushes landing in blocked halves)", st1.Partition)

@@ -240,15 +240,12 @@ func (n *Network) SetLinkDelay(a, b msg.ProcID, min, max time.Duration) {
 	n.delays[linkKey(a, b)] = linkDelay{min: min, max: max}
 }
 
-// Stats returns a snapshot of the network counters.
+// Stats returns a snapshot of the network counters (ProfileStats has the
+// adversarial-profile ones).
 func (n *Network) Stats() Stats {
 	s := n.ledger.Stats()
 	s.Duplicated = n.duplicated.Load()
 	s.Partition = n.partition.Load()
-	s.Reordered = n.reordered.Load()
-	s.Spikes = n.spikes.Load()
-	s.GrayDelays = n.grayDelays.Load()
-	s.FlapCycles = n.flapCycles.Load()
 	return s
 }
 

@@ -289,7 +289,7 @@ func TestGraySlowDelaysBothDirections(t *testing.T) {
 	}
 	a.Push(2, call(2)) // ingress of the gray endpoint
 	n.Quiesce()
-	if st := n.Stats(); st.GrayDelays != 2 {
+	if st := n.ProfileStats(); st.GrayDelays != 2 {
 		t.Fatalf("gray delays = %d, want 2", st.GrayDelays)
 	}
 
@@ -303,7 +303,7 @@ func TestGraySlowDelaysBothDirections(t *testing.T) {
 	n.SetGraySlow(2, 0)
 	a.Push(2, call(4))
 	n.Quiesce()
-	if st := n.Stats(); st.GrayDelays != 2 {
+	if st := n.ProfileStats(); st.GrayDelays != 2 {
 		t.Fatalf("gray delays after clear = %d, want 2", st.GrayDelays)
 	}
 }
@@ -370,7 +370,7 @@ func TestLinkProfileSpikes(t *testing.T) {
 	if got := cb.count(); got != sent {
 		t.Fatalf("spikes lost messages: delivered %d of %d", got, sent)
 	}
-	st := n.Stats()
+	st := n.ProfileStats()
 	// Rough binomial bounds: 200 trials, p=0.5 → expect 100 ± 45.
 	if st.Spikes < 55 || st.Spikes > 145 {
 		t.Fatalf("spikes = %d of %d, far from 50%%", st.Spikes, sent)
@@ -392,7 +392,7 @@ func TestReorderStormPermutesWithinWindow(t *testing.T) {
 	if got := cb.count(); got != sent {
 		t.Fatalf("storm lost messages: delivered %d of %d", got, sent)
 	}
-	if st := n.Stats(); st.Reordered != sent {
+	if st := n.ProfileStats(); st.Reordered != sent {
 		t.Fatalf("reordered = %d, want %d", st.Reordered, sent)
 	}
 	cb.mu.Lock()

@@ -16,6 +16,26 @@ import (
 // Deterministic additions (gray delay, serialization time) consume no
 // randomness at all, which keeps every other link's stream untouched.
 
+// ProfileStats counts what the adversarial profiles did to traffic since the
+// network was created. Only the simulator rolls these faults, so they are
+// kept here rather than in the shared transport.Stats.
+type ProfileStats struct {
+	Reordered  int64 // messages delayed by a reordering storm window
+	Spikes     int64 // deliveries that took a profile latency spike
+	GrayDelays int64 // messages delayed by a gray-slow endpoint
+	FlapCycles int64 // completed partition flap cycles
+}
+
+// ProfileStats returns a snapshot of the profile counters.
+func (n *Network) ProfileStats() ProfileStats {
+	return ProfileStats{
+		Reordered:  n.reordered.Load(),
+		Spikes:     n.spikes.Load(),
+		GrayDelays: n.grayDelays.Load(),
+		FlapCycles: n.flapCycles.Load(),
+	}
+}
+
 // ReorderParams configures bounded reordering storms on a link. A storm
 // starts with probability Prob per surviving message; while active, each of
 // the next Window messages (including the trigger) gains an extra delay

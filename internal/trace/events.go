@@ -177,13 +177,6 @@ func (l *Log) Record(e Event) {
 	l.mu.Unlock()
 }
 
-// Len returns the number of recorded events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}
-
 // Events returns a copy of the recorded events in Seq order.
 func (l *Log) Events() []Event {
 	l.mu.Lock()

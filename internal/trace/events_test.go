@@ -33,9 +33,6 @@ func TestLogConcurrentRecord(t *testing.T) {
 	if len(events) != emitters*perEmitter {
 		t.Fatalf("len = %d, want %d", len(events), emitters*perEmitter)
 	}
-	if l.Len() != len(events) {
-		t.Fatalf("Len = %d, want %d", l.Len(), len(events))
-	}
 	lastPerSite := make(map[msg.ProcID]msg.CallID)
 	seen := make(map[int64]bool)
 	for i, e := range events {

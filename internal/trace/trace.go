@@ -1,6 +1,7 @@
 // Package trace provides the lightweight measurement utilities used by the
-// experiment harness: latency recorders with percentile summaries and
-// simple event counters.
+// experiment harness and the conformance checker: latency recorders with
+// percentile summaries, the structured call-event stream and per-handler
+// dispatch profiles.
 package trace
 
 import (
@@ -73,22 +74,6 @@ func (r *Recorder) Percentile(p float64) time.Duration {
 	return sorted[idx]
 }
 
-// Min returns the smallest sample, or 0 with no samples.
-func (r *Recorder) Min() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.samples) == 0 {
-		return 0
-	}
-	min := r.samples[0]
-	for _, s := range r.samples[1:] {
-		if s < min {
-			min = s
-		}
-	}
-	return min
-}
-
 // Max returns the largest sample, or 0 with no samples.
 func (r *Recorder) Max() time.Duration {
 	r.mu.Lock()
@@ -110,41 +95,4 @@ func (r *Recorder) Summary() string {
 		r.Percentile(95).Round(time.Microsecond),
 		r.Percentile(99).Round(time.Microsecond),
 		r.Max().Round(time.Microsecond))
-}
-
-// Counters is a labelled set of monotonic counters, safe for concurrent
-// use.
-type Counters struct {
-	mu sync.Mutex
-	m  map[string]int64
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{m: make(map[string]int64)}
-}
-
-// Inc adds delta to the named counter.
-func (c *Counters) Inc(name string, delta int64) {
-	c.mu.Lock()
-	c.m[name] += delta
-	c.mu.Unlock()
-}
-
-// Get returns the named counter's value.
-func (c *Counters) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[name]
-}
-
-// Snapshot returns a copy of all counters.
-func (c *Counters) Snapshot() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v
-	}
-	return out
 }

@@ -45,10 +45,6 @@ type Stats struct {
 	DownDrops  int64 // drops due to a down endpoint or unknown destination
 	Batches    int64 // OpBatch frames offered (admitted and counted as one unit)
 	Reconnects int64 // connections (re)established after a loss (nettcp only)
-	Reordered  int64 // messages delayed by a reordering storm window (simulator only)
-	Spikes     int64 // deliveries that took a profile latency spike (simulator only)
-	GrayDelays int64 // messages delayed by a gray-slow endpoint (simulator only)
-	FlapCycles int64 // completed partition flap cycles (simulator only)
 }
 
 // EndpointStats counts one endpoint's traffic. Egress is the number of

@@ -1,6 +1,6 @@
 // Package workload drives configured RPC systems with reproducible client
-// workloads for the experiment harness: closed-loop clients, payload
-// generators, and crash/recovery scripts.
+// workloads for the experiment harness: closed-loop and open-loop clients
+// and payload generators.
 package workload
 
 import (
@@ -239,42 +239,4 @@ func (w OpenLoop) Run(clients []*mrpc.Node) *OpenResult {
 	wg.Wait()
 	res.Elapsed = clk.Now().Sub(start)
 	return res
-}
-
-// CrashScript crashes and recovers a node on a fixed cadence until stopped:
-// after each Up period the node crashes, stays down for Down, then
-// recovers. Stop it by closing the returned channel's counterpart.
-type CrashScript struct {
-	Node *mrpc.Node
-	Up   time.Duration
-	Down time.Duration
-	// Clock is the time source for the cadence (default: the real clock).
-	Clock clock.Clock
-}
-
-// Run executes the script until stop is closed, then returns the number of
-// crash/recover cycles completed. The node is left recovered.
-func (cs CrashScript) Run(stop <-chan struct{}) int {
-	clk := clockOrReal(cs.Clock)
-	cycles := 0
-	for {
-		select {
-		case <-stop:
-			if cs.Node.Down() {
-				_ = cs.Node.Recover()
-			}
-			return cycles
-		case <-clock.After(clk, cs.Up):
-		}
-		cs.Node.Crash()
-		select {
-		case <-stop:
-			_ = cs.Node.Recover()
-			return cycles
-		case <-clock.After(clk, cs.Down):
-		}
-		if err := cs.Node.Recover(); err == nil {
-			cycles++
-		}
-	}
 }

@@ -98,27 +98,3 @@ func TestOpenLoopDegenerate(t *testing.T) {
 		t.Fatalf("degenerate run produced work: %+v", res)
 	}
 }
-
-func TestCrashScript(t *testing.T) {
-	sys, _, _ := testSystem(t)
-	node, _ := sys.Node(1)
-
-	stop := make(chan struct{})
-	done := make(chan int, 1)
-	go func() {
-		done <- workload.CrashScript{
-			Node: node,
-			Up:   5 * time.Millisecond,
-			Down: 5 * time.Millisecond,
-		}.Run(stop)
-	}()
-	time.Sleep(40 * time.Millisecond)
-	close(stop)
-	cycles := <-done
-	if cycles < 1 {
-		t.Fatalf("cycles = %d, want at least one crash/recover", cycles)
-	}
-	if node.Down() {
-		t.Fatal("node left down after script stop")
-	}
-}

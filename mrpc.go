@@ -719,12 +719,15 @@ func (n *Node) start(isRecovery bool) error {
 		}
 		comp.Framework().HandleNet(m)
 	})
+	// Recovery handlers restore state (Atomic Execution's checkpoint, Total
+	// Order's rejoin) before the endpoint comes up, so no arrival is
+	// served from the fresh state.
+	if isRecovery {
+		comp.Framework().Recover()
+	}
 	n.ep.SetUp(true)
 	if det := n.currentDetector(); det != nil {
 		det.Start()
-	}
-	if isRecovery {
-		comp.Framework().Recover()
 	}
 	return nil
 }

@@ -3,8 +3,9 @@ package mrpc_test
 // Benchmarks for the TCP transport (internal/nettcp): the same composite
 // call path E8 measures on the simulator, now over real loopback sockets,
 // and the raw multicast fanout the group call path pays per destination.
-// `mrpcbench -bench tcp` snapshots these (plus the nettcp framing
-// benchmarks matched by the TCP regex) into BENCH_tcp.json.
+// Run them with the nettcp framing benchmarks via `go test -run '^$'
+// -bench TCP ./...`; perfbench's tcp-sync-g3 workload measures the same
+// path end to end.
 
 import (
 	"fmt"
